@@ -1,8 +1,10 @@
 """Command-line surface: verify, trace, sweep, catalog.
 
-Targets are file paths or ``catalog:NAME``.  Exit codes: 0 pass, 1 a
-checked identity failed, 2 the instance failed validation, 3 an I/O or
-parse problem.  ``--format json`` emits a versioned report with all
+Targets are file paths, ``catalog:NAME`` or ``gen:SEED``.  Exit codes:
+0 pass, 1 a checked identity failed, 2 the instance failed validation or
+any other engine error (such as an infeasible generator seed), 3 an I/O
+or parse problem.  Every engine error ends in one stderr line, never a
+traceback.  ``--format json`` emits a versioned report with all
 rationals as strings; set REPORT_COLOR=1 for colored PASS/FAIL in text
 mode.
 """
@@ -392,6 +394,9 @@ def main(argv=None) -> int:
     except (ParseError, UnknownEntry) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
+    except EngineError as e:
+        print(f"engine error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO

@@ -4,9 +4,13 @@ Chain level: a functional on degree-4 cochains vanishing on coboundaries,
 a cocycle vector in degree 1, and a degree +4 chain operator.  Cohomology
 level: the induced families delta_n (functionals on degrees 4, 0
 alternating with n) and delta'_n (vectors in degrees 1, 5 alternating),
-the dichotomy between them, the subspaces Z and B they carve out, the
-reduced groups Z/B, and the Froyshov invariant as half an Euler
-characteristic difference.
+grown by one Krylov loop, the dichotomy between them, the subspaces Z and
+B they carve out, the reduced groups Z/B, and the Froyshov invariant as
+half an Euler characteristic difference.
+
+Z^q and B^q are the last stages of one filtration tower walk (``tower``
+over ``tower_members``), which the stabilization report and the cobordism
+tower replay read as well.
 
 The degree +4 operator is required to be a strict chain map.  That is the
 minimal condition making the induced families well defined on cohomology;
@@ -137,92 +141,107 @@ def derive_case(deltas, deltas_prime) -> Case:
     return Case.BOTH_ZERO
 
 
+def krylov_families(d0: Matrix, p0: Matrix, v_blocks, dims, n_min: int):
+    """Iterate delta_{n+1} = delta_n o V and delta'_{n+1} = V o delta'_n.
+
+    ``v_blocks[q]`` is the block of V on degree q.  Each parity subfamily
+    is a Krylov sequence of a fixed operator, so one step that does not
+    grow its span means the span is final; iteration runs past ``n_min``
+    until all four parity spans have stopped.  Returns the member lists.
+    """
+    deltas: list[Matrix] = []
+    primes: list[Matrix] = []
+    # the four parity subfamilies live in degrees 4, 0 (functionals) and 1, 5
+    spans = {q: Subspace.zero(dims[q]) for q in (0, 1, 4, 5)}
+    stable: set[int] = set()
+    cap = n_min + 2 * (max(dims) + 2)
+    d, p, n = d0, p0, 0
+    while True:
+        deltas.append(d)
+        primes.append(p)
+        for q, vec in ((delta_degree(n), d.transpose()), (delta_prime_degree(n), p)):
+            grown = spans[q].sum_with(Subspace.span(vec.rows, vec))
+            if grown.dim == spans[q].dim:
+                stable.add(q)
+            spans[q] = grown
+        if n >= n_min and len(stable) == 4:
+            return deltas, primes
+        if n >= cap:
+            raise ValidationError("family spans failed to stabilize below the hard cap")
+        d = d @ v_blocks[delta_degree(n + 1)]
+        p = v_blocks[delta_prime_degree(n)] @ p
+        n += 1
+
+
 def induce_special(cs: ChainSpecial, coh: CohomologyResult, n_max: int = 4) -> SpecialPair:
     """Induce the cohomology-level families from chain-level data.
 
-    Members are computed as the class-level iterates of the degree +4
-    operator applied to the induced functional and vector.  The family is
-    extended beyond ``n_max`` until the span of each parity subfamily
-    stops growing; each subfamily is a Krylov sequence of a fixed
-    operator, so one non-growing step means the span is final and the
+    Members are the class-level iterates of the degree +4 operator applied
+    to the induced functional and vector, extended beyond ``n_max`` until
+    each parity subfamily is final (see ``krylov_families``), so the
     subspaces Z and B computed from the family are stable.
     """
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
-    cx = coh.complex
-    validate_chain_special(cs, cx)
+    validate_chain_special(cs, coh.complex)
     vh = induced_map(cs.v, coh, coh)
-    h = coh.h_space
+    deltas, primes = krylov_families(
+        cs.delta @ coh.rep_section[4],
+        coh.class_projection[1] @ cs.delta_prime,
+        vh.blocks,
+        coh.h_space.dims,
+        n_max,
+    )
+    return SpecialPair(len(deltas) - 1, tuple(deltas), tuple(primes), derive_case(deltas, primes))
 
-    cur_delta = cs.delta @ coh.rep_section[4]
-    cur_prime = coh.class_projection[1] @ cs.delta_prime
-    deltas: list[Matrix] = []
-    primes: list[Matrix] = []
-    # span of each parity subfamily; key (family, parity)
-    spans = {
-        ("delta", 0): Subspace.zero(h.dim(4)),
-        ("delta", 1): Subspace.zero(h.dim(0)),
-        ("prime", 0): Subspace.zero(h.dim(1)),
-        ("prime", 1): Subspace.zero(h.dim(5)),
-    }
-    done = {k: False for k in spans}
-    hard_cap = n_max + 2 * (max(h.dims) + 2)
-    n = -1
-    while True:
-        n += 1
-        deltas.append(cur_delta)
-        primes.append(cur_prime)
-        p = n % 2
-        for fam, member in (("delta", cur_delta.transpose()), ("prime", cur_prime)):
-            grown = spans[fam, p].sum_with(Subspace.span(member.rows, member))
-            if grown.dim == spans[fam, p].dim:
-                done[fam, p] = True
-            spans[fam, p] = grown
-        if n >= n_max and all(done.values()):
-            break
-        if n >= hard_cap:
-            raise RuntimeError("family spans failed to stabilize below the hard cap")
-        cur_delta = cur_delta @ vh.block(delta_degree(n + 1))
-        cur_prime = vh.block(delta_prime_degree(n)) @ cur_prime
-    case = derive_case(deltas, primes)
-    return SpecialPair(n, tuple(deltas), tuple(primes), case)
+
+def tower_members(sp: SpecialPair, q: int) -> tuple[tuple[int, Matrix], ...]:
+    """The (n, member) pairs acting at degree q, in increasing n.
+
+    Functionals act at 0 (odd n) and 4 (even n), vectors at 1 (even n)
+    and 5 (odd n); no member acts at any other degree.
+    """
+    if q in (0, 4):
+        return tuple((n, m) for n, m in enumerate(sp.deltas) if delta_degree(n) == q)
+    if q in (1, 5):
+        return tuple((n, m) for n, m in enumerate(sp.deltas_prime) if delta_prime_degree(n) == q)
+    return ()
+
+
+def tower(dim: int, q: int, members):
+    """Walk the filtration tower at degree q of a space of dimension dim.
+
+    Yields ``(n, member, previous, next)`` per member.  At degrees 0 and 4
+    the tower starts from the whole space and each stage intersects with
+    the member's kernel; at 1 and 5 it starts from zero and each stage
+    adds the member's span.  Z^q and B^q are the last stages.
+    """
+    kernel = q in (0, 4)
+    stage = Subspace.full(dim) if kernel else Subspace.zero(dim)
+    for n, m in members:
+        nxt = intersect(stage, kernel_basis(m)) if kernel else stage.sum_with(Subspace.span(dim, m))
+        yield n, m, stage, nxt
+        stage = nxt
 
 
 def z_subspaces(h: GradedSpace, sp: SpecialPair) -> tuple[Subspace, ...]:
     """Common kernels of the functionals: cut down in degrees 0 and 4 only."""
     sp.validate_against(h)
-    out = []
-    for q in range(8):
-        if q == 0:
-            z = Subspace.full(h.dim(0))
-            for n in range(1, sp.n_max + 1, 2):
-                z = intersect(z, kernel_basis(sp.deltas[n]))
-        elif q == 4:
-            z = Subspace.full(h.dim(4))
-            for n in range(0, sp.n_max + 1, 2):
-                z = intersect(z, kernel_basis(sp.deltas[n]))
-        else:
-            z = Subspace.full(h.dim(q))
-        out.append(z)
-    return tuple(out)
+    z = [Subspace.full(h.dim(q)) for q in range(8)]
+    for q in (0, 4):
+        for _, _, _, z[q] in tower(h.dim(q), q, tower_members(sp, q)):  # keep the last stage
+            pass
+    return tuple(z)
 
 
 def b_subspaces(h: GradedSpace, sp: SpecialPair) -> tuple[Subspace, ...]:
     """Spans of the vectors: nonzero in degrees 1 and 5 only."""
     sp.validate_against(h)
-    out = []
-    for q in range(8):
-        if q == 1:
-            cols = [sp.deltas_prime[n] for n in range(0, sp.n_max + 1, 2)]
-        elif q == 5:
-            cols = [sp.deltas_prime[n] for n in range(1, sp.n_max + 1, 2)]
-        else:
-            cols = []
-        b = Subspace.zero(h.dim(q))
-        for c in cols:
-            b = b.sum_with(Subspace.span(h.dim(q), c))
-        out.append(b)
-    return tuple(out)
+    b = [Subspace.zero(h.dim(q)) for q in range(8)]
+    for q in (1, 5):
+        for _, _, _, b[q] in tower(h.dim(q), q, tower_members(sp, q)):  # keep the last stage
+            pass
+    return tuple(b)
 
 
 @dataclass(frozen=True)
@@ -303,29 +322,13 @@ class StabilizationReport:
 def stabilization_indices(h: GradedSpace, sp: SpecialPair) -> StabilizationReport:
     sp.validate_against(h)
 
-    def kernel_tower(degree: int, indices):
-        cur = Subspace.full(h.dim(degree))
-        last_change = None
-        for n in indices:
-            nxt = intersect(cur, kernel_basis(sp.deltas[n]))
-            if nxt != cur:
-                last_change = n
-            cur = nxt
-        return last_change
-
-    def span_tower(degree: int, indices):
-        cur = Subspace.zero(h.dim(degree))
-        last_change = None
-        for n in indices:
-            nxt = cur.sum_with(Subspace.span(h.dim(degree), sp.deltas_prime[n]))
-            if nxt != cur:
-                last_change = n
-            cur = nxt
-        return last_change
+    def last_change(q: int) -> int | None:
+        last = None
+        for n, _, prev, nxt in tower(h.dim(q), q, tower_members(sp, q)):
+            if nxt != prev:
+                last = n
+        return last
 
     return StabilizationReport(
-        z0=kernel_tower(0, range(1, sp.n_max + 1, 2)),
-        z4=kernel_tower(4, range(0, sp.n_max + 1, 2)),
-        b1=span_tower(1, range(0, sp.n_max + 1, 2)),
-        b5=span_tower(5, range(1, sp.n_max + 1, 2)),
+        z0=last_change(0), z4=last_change(4), b1=last_change(1), b5=last_change(5)
     )

@@ -37,6 +37,8 @@ from .froyshov import (
     delta_prime_degree,
     derive_case,
     induce_special,
+    krylov_families,
+    tower_members,
 )
 from .graded import CochainComplex, GradedMap, GradedSpace, cohomology, induced_map
 from .instance import COHOMOLOGY, Instance, LEVEL_CHAIN, LEVEL_COHOMOLOGY
@@ -132,33 +134,41 @@ def _solve_vector_block(rng, dim, members, bound, planted):
     return _solve_member_block(rng, dim, rows, bound, planted).transpose()
 
 
-def _constrained_blocks(rng, space, sp, bound):
-    """Solve the potentially constrained blocks; None elsewhere.
+def _w_blocks(rng, space, pair, bound, periodic):
+    """Cobordism blocks with the relations planted by construction.
 
-    Returns (blocks by degree, planted functional-side coefficients,
-    planted vector-side coefficients).
+    The blocks a family acts on are solved from its relations (see
+    ``_solve_member_block``) and every other block is drawn at random, in
+    increasing degree.  In periodic mode the linked towers are identical
+    systems: only the even-indexed tower is solved, its solution and
+    coefficients are mirrored onto the odd one, and every block of degree
+    q + 4 repeats degree q.  Returns (blocks, planted functional-side
+    coefficients, planted vector-side coefficients).
     """
-    blocks: dict[int, Matrix | None] = {q: None for q in range(8)}
     planted_a: dict[tuple[int, int], int] = {}
     planted_b: dict[tuple[int, int], int] = {}
-    if sp.case is Case.DELTA_SIDE:
-        even = [(n, sp.deltas[n]) for n in range(0, sp.n_max + 1, 2)]
-        odd = [(n, sp.deltas[n]) for n in range(1, sp.n_max + 1, 2)]
-        blocks[4] = _solve_member_block(rng, space.dim(4), even, bound, planted_a)
-        blocks[0] = _solve_member_block(rng, space.dim(0), odd, bound, planted_a)
-    elif sp.case is Case.DELTA_PRIME_SIDE:
-        even = [(n, sp.deltas_prime[n]) for n in range(0, sp.n_max + 1, 2)]
-        odd = [(n, sp.deltas_prime[n]) for n in range(1, sp.n_max + 1, 2)]
-        blocks[1] = _solve_vector_block(rng, space.dim(1), even, bound, planted_b)
-        blocks[5] = _solve_vector_block(rng, space.dim(5), odd, bound, planted_b)
+    if pair.case is Case.DELTA_SIDE:
+        degrees, planted, solver = (4, 0), planted_a, _solve_member_block
+    elif pair.case is Case.DELTA_PRIME_SIDE:
+        degrees, planted, solver = (1, 5), planted_b, _solve_vector_block
+    else:
+        degrees, planted, solver = (), None, None
+    solved: dict[int, Matrix] = {}
+    for q in degrees[:1] if periodic else degrees:
+        solved[q] = solver(rng, space.dim(q), tower_members(pair, q), bound, planted)
+        if periodic:
+            solved[(q + 4) % 8] = solved[q]
+            # copy even-pair coefficients onto the linked odd pairs
+            planted.update({(i + 1, n + 1): c for (i, n), c in planted.items() if n % 2 == 0})
+    blocks: list[Matrix] = []
+    for q in range(8):
+        if periodic and q >= 4:
+            blocks.append(blocks[q - 4])
+        elif q in solved:
+            blocks.append(solved[q])
+        else:
+            blocks.append(_rand_matrix(rng, space.dim(q), space.dim(q), bound))
     return blocks, planted_a, planted_b
-
-
-def _mirror_planted(planted):
-    """Copy even-pair coefficients onto the linked odd pairs."""
-    for (i, n), c in list(planted.items()):
-        if n % 2 == 0:
-            planted[(i + 1, n + 1)] = c
 
 
 def _draw_pair(rng, space, case, n_eff, bound, periodic):
@@ -201,32 +211,7 @@ def _build_instance(rng: random.Random, cfg: GenConfig) -> Instance:
         n_eff += 1  # keep the linked towers the same length
     sp = _draw_pair(rng, space, case, n_eff, bound, cfg.periodic)
 
-    if cfg.periodic:
-        # linked towers are identical systems; solve once and mirror
-        solved, planted_a, planted_b = {q: None for q in range(8)}, {}, {}
-        if sp.case is Case.DELTA_SIDE:
-            even = [(n, sp.deltas[n]) for n in range(0, sp.n_max + 1, 2)]
-            solved[4] = _solve_member_block(rng, space.dim(4), even, bound, planted_a)
-            solved[0] = solved[4]
-            _mirror_planted(planted_a)
-        elif sp.case is Case.DELTA_PRIME_SIDE:
-            even = [(n, sp.deltas_prime[n]) for n in range(0, sp.n_max + 1, 2)]
-            solved[1] = _solve_vector_block(rng, space.dim(1), even, bound, planted_b)
-            solved[5] = solved[1]
-            _mirror_planted(planted_b)
-        blocks: list[Matrix | None] = [None] * 8
-        for q in range(4):
-            blocks[q] = solved[q] if solved[q] is not None else _rand_matrix(
-                rng, space.dim(q), space.dim(q), bound
-            )
-            blocks[q + 4] = solved[q + 4] if solved[q + 4] is not None else blocks[q]
-    else:
-        solved, planted_a, planted_b = _constrained_blocks(rng, space, sp, bound)
-        blocks = [
-            solved[q] if solved[q] is not None
-            else _rand_matrix(rng, space.dim(q), space.dim(q), bound)
-            for q in range(8)
-        ]
+    blocks, planted_a, planted_b = _w_blocks(rng, space, sp, bound, cfg.periodic)
     w = GradedMap(space, space, 0, tuple(blocks))
 
     inst = Instance(
@@ -340,37 +325,6 @@ def _split_chain_map(rng, a, h, cf, shift, hh_blocks, bound):
     return blocks
 
 
-def _extend_planted_family(d0, p0, vhh, h, n_min):
-    """Iterate the planted family until each parity span stops growing."""
-    deltas, primes = [], []
-    spans = {
-        ("d", 0): Subspace.zero(h[4]),
-        ("d", 1): Subspace.zero(h[0]),
-        ("p", 0): Subspace.zero(h[1]),
-        ("p", 1): Subspace.zero(h[5]),
-    }
-    done = {k: False for k in spans}
-    cur_d, cur_p = d0, p0
-    n = -1
-    cap = n_min + 2 * (max(h) + 2)
-    while True:
-        n += 1
-        deltas.append(cur_d)
-        primes.append(cur_p)
-        par = n % 2
-        for fam, member in (("d", cur_d.transpose()), ("p", cur_p)):
-            grown = spans[fam, par].sum_with(Subspace.span(member.rows, member))
-            if grown.dim == spans[fam, par].dim:
-                done[fam, par] = True
-            spans[fam, par] = grown
-        if n >= n_min and all(done.values()):
-            return deltas, primes, n
-        if n > cap:
-            raise Infeasible("family spans failed to stabilize")
-        cur_d = cur_d @ vhh[delta_degree(n + 1)]
-        cur_p = vhh[delta_prime_degree(n)] @ cur_p
-
-
 def _block_of(m: Matrix, a, h, cf, q, shift):
     """Harmonic-to-harmonic sub-block of a split-basis chain map block."""
     t = (q + shift) % 8
@@ -402,7 +356,7 @@ def _build_chain_instance(rng: random.Random, cfg: GenConfig) -> Instance:
     # links the towers so the reduced theory mirrors too
     v_hh = {q: Matrix.identity(h[q]) for q in range(8)} if cfg.periodic else {}
     v_blocks = _split_chain_map(rng, a, h, cf, 4, v_hh, bound)
-    vhh = {q: _block_of(v_blocks[q], a, h, cf, q, 4) for q in range(8)}
+    vhh = [_block_of(v_blocks[q], a, h, cf, q, 4) for q in range(8)]
 
     # special data: one family's class seed is zeroed, fixing the dichotomy
     delta_chain = [rng.randint(-bound, bound) for _ in range(cf[4])]
@@ -422,38 +376,10 @@ def _build_chain_instance(rng: random.Random, cfg: GenConfig) -> Instance:
 
     d0 = Matrix.row_vector([delta_chain[cf[4] - h[4] + i] for i in range(h[4])], cols=h[4])
     p0 = Matrix.column([prime_chain[cf[1] - h[1] + i] for i in range(h[1])])
-    deltas, primes, n_eff = _extend_planted_family(d0, p0, vhh, h, cfg.n_max)
-
-    pair = SpecialPair(n_eff, tuple(deltas), tuple(primes), derive_case(deltas, primes))
-    hspace = GradedSpace.of(h)
-    if cfg.periodic:
-        solved, planted_a, planted_b = {q: None for q in range(8)}, {}, {}
-        if pair.case is Case.DELTA_SIDE:
-            even = [(n, pair.deltas[n]) for n in range(0, pair.n_max + 1, 2)]
-            solved[4] = _solve_member_block(rng, hspace.dim(4), even, bound, planted_a)
-            solved[0] = solved[4]
-            _mirror_planted(planted_a)
-        elif pair.case is Case.DELTA_PRIME_SIDE:
-            even = [(n, pair.deltas_prime[n]) for n in range(0, pair.n_max + 1, 2)]
-            solved[1] = _solve_vector_block(rng, hspace.dim(1), even, bound, planted_b)
-            solved[5] = solved[1]
-            _mirror_planted(planted_b)
-    else:
-        solved, planted_a, planted_b = _constrained_blocks(rng, hspace, pair, bound)
-
-    w_hh: dict[int, Matrix] = {}
-    span_w = range(4) if cfg.periodic else range(8)
-    for q in span_w:
-        blk = solved[q]
-        if blk is None and cfg.periodic and solved[q + 4] is not None:
-            blk = solved[q + 4]
-        if blk is None:
-            blk = _rand_matrix(rng, h[q], h[q], bound)
-        w_hh[q] = blk
-    if cfg.periodic:
-        for q in range(4):
-            w_hh[q + 4] = w_hh[q]
-    w_blocks = _split_chain_map(rng, a, h, cf, 0, w_hh, bound)
+    deltas, primes = krylov_families(d0, p0, vhh, h, cfg.n_max)
+    pair = SpecialPair(len(deltas) - 1, tuple(deltas), tuple(primes), derive_case(deltas, primes))
+    w_hh, planted_a, planted_b = _w_blocks(rng, GradedSpace.of(h), pair, bound, cfg.periodic)
+    w_blocks = _split_chain_map(rng, a, h, cf, 0, dict(enumerate(w_hh)), bound)
 
     # conjugate everything by one unimodular change of basis per degree
     ps, pinvs = [], []
@@ -533,14 +459,9 @@ def redraw_cobordism(instance: Instance, seed: int, entry_bound: int = 3) -> Ins
     sp, space = instance.pair, instance.space
     for _ in range(RETRY_BOUND):
         try:
-            solved, _, _ = _constrained_blocks(rng, space, sp, entry_bound)
+            blocks, _, _ = _w_blocks(rng, space, sp, entry_bound, periodic=False)
         except _Retry:
             continue
-        blocks = [
-            solved[q] if solved[q] is not None
-            else _rand_matrix(rng, space.dim(q), space.dim(q), entry_bound)
-            for q in range(8)
-        ]
         w = GradedMap(space, space, 0, tuple(blocks))
         if validate_relations(CobordismMap(w), sp).ok:
             # the fresh map has no chain-level lift, so the result is a

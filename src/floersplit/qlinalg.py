@@ -22,9 +22,10 @@ Q = Fraction
 
 
 def _coerce(x) -> Fraction:
-    # bool is an int subclass; refuse it to catch schema bugs early.
-    if isinstance(x, bool):
-        raise TypeError("bool is not a rational scalar")
+    # bool is an int subclass and a float is already inexact; refuse both
+    # so that every stored entry is the exact rational the caller meant.
+    if isinstance(x, (bool, float)):
+        raise TypeError(f"{type(x).__name__} is not a rational scalar")
     return Fraction(x)
 
 

@@ -86,14 +86,22 @@ def oracle_splitting_sides(instance):
 
     Uses only raw block traces and kernel/image dimension counts; the
     reduced side is recomputed here from scratch rather than taken from
-    the engine's reduced structures.
+    the engine's reduced structures.  Z^q is one kernel of all the
+    functionals acting at degree q stacked as rows, and B^q one span of
+    all the vectors acting there stacked as columns, with no tower walk.
     """
-    from floersplit.froyshov import b_subspaces, z_subspaces
-    from floersplit.qlinalg import quotient, induced_on_quotient, restrict, trace
+    from floersplit.qlinalg import Subspace, induced_on_quotient, quotient, restrict, trace
 
     sp, w = instance.pair, instance.w
-    z = z_subspaces(instance.space, sp)
-    b = b_subspaces(instance.space, sp)
+    n_range = range(sp.n_max + 1)
+    z, b = [], []
+    for q in range(8):
+        dim = instance.space.dim(q)
+        # functionals: degree 4 for even n, 0 for odd; vectors: 1 for even n, 5 for odd
+        rows = [sp.deltas[n].row(0) for n in n_range if (q, n % 2) in ((4, 0), (0, 1))]
+        cols = [sp.deltas_prime[n].col(0) for n in n_range if (q, n % 2) in ((1, 0), (5, 1))]
+        z.append(kernel_basis(Matrix.from_rows(rows, cols=dim)))
+        b.append(Subspace.span(dim, Matrix.from_columns(cols, rows=dim)))
     lef_w = sum((Fraction((-1) ** q) * trace(w.block(q)) for q in range(8)), Fraction(0))
     lef_hat = Fraction(0)
     chi = 0
@@ -103,8 +111,6 @@ def oracle_splitting_sides(instance):
         chi_red += (-1) ** q * (z[q].dim - b[q].dim)
         on_z = restrict(w.block(q), z[q])
         b_in_z = z[q].coordinates_of(b[q].basis)
-        from floersplit.qlinalg import Subspace
-
         qs = quotient(z[q].dim, Subspace.span(z[q].dim, b_in_z))
         lef_hat += Fraction((-1) ** q) * trace(induced_on_quotient(on_z, qs))
     lam = -lef_w / 2

@@ -281,6 +281,15 @@ def test_step_mismatch_on_invalid_instance():
         trace_case1(inst)
 
 
+def test_step_mismatch_on_invalid_span_tower():
+    # W doubles delta'_0, so the quotient trace drops by 2 instead of 1
+    space = graded_space(0, 2, 0, 0, 0, 0, 0, 0)
+    pair = _pair(space, Case.DELTA_PRIME_SIDE, primes=[Matrix.column([1, 0])], n_max=1)
+    w = blocks_map(space, 0, {1: mat([[2, 0], [0, 1]])})
+    with pytest.raises(StepMismatch):
+        trace_case2(_instance(space, pair, w))
+
+
 def test_refinement_sigma():
     inst = catalog.load_entry("sigma_2_7_13_mapping_torus")
     rep = trace_refinement(inst)

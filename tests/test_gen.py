@@ -131,6 +131,18 @@ def test_periodic_instances_mirror():
 # -- chain level -------------------------------------------------------------
 
 
+def test_chain_periodic_instances_mirror():
+    for seed in range(1, 11):
+        inst = gen_instance(GenConfig(seed=seed, chain_level=True, periodic=True))
+        dims = inst.space.dims
+        assert dims[:4] == dims[4:]
+        for q in range(4):
+            assert inst.w.block(q) == inst.w.block(q + 4)
+        red = reduced(inst.space, inst.pair)
+        assert red.hf_red.dims[:4] == red.hf_red.dims[4:]
+        verify_splitting(inst, raise_on_failure=True)
+
+
 def test_chain_planted_dims_and_oracle():
     for seed in range(1, 21):
         inst = gen_chain_instance(GenConfig(seed=seed, chain_level=True))

@@ -45,6 +45,20 @@ def subspaces(ambient=4):
     ).map(lambda cols: Subspace.span(ambient, Matrix.from_columns(cols, rows=ambient)))
 
 
+# -- scalars -----------------------------------------------------------
+
+
+def test_constructors_refuse_floats_and_bools():
+    for bad in (0.1, 1.0, True):
+        with pytest.raises(TypeError):
+            Matrix.from_rows([[bad]])
+        with pytest.raises(TypeError):
+            Matrix.column([1, bad])
+        with pytest.raises(TypeError):
+            Matrix.identity(2).scale(bad)
+    assert Matrix.from_rows([["1/3", 2]]).entry(0, 0).denominator == 3
+
+
 # -- rref --------------------------------------------------------------
 
 

@@ -226,6 +226,20 @@ def test_cli_verify_identity_failure_exit_code(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_cli_engine_error_exits_2_without_traceback(monkeypatch, capsys):
+    import floersplit.cli as cli
+    from floersplit.errors import Infeasible
+
+    def infeasible(cfg):
+        raise Infeasible(f"no valid instance for seed {cfg.seed}")
+
+    monkeypatch.setattr(cli, "gen_instance", infeasible)
+    assert main(["verify", "gen:1"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == ["engine error: Infeasible: no valid instance for seed 1"]
+
+
 def test_cli_trace_text(capsys):
     rc = main(["trace", "catalog:sigma_2_7_13_mapping_torus", "--tower", "0"])
     out = capsys.readouterr().out
