@@ -39,8 +39,6 @@ from .froyshov import (
     b_subspaces,
     reduced,
     froyshov_h,
-    check_periodicity,
-    stabilization_indices,
 )
 from .cobordism import (
     CobordismMap,

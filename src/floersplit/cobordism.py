@@ -5,6 +5,14 @@ families, extracts the correction coefficients, induces the map on the
 reduced theory, computes the Lefschetz-number invariants, checks the two
 splitting identities, and replays the filtration towers step by step.
 
+Both families run through one relation loop on columns: delta_n o W =
+delta_n + sum a_{i,n} delta_i is the transpose of W o delta'_n = delta'_n +
+sum b_{i,n} delta'_i, so a functional is checked as its transposed
+column against the transposed block.  ``validate_instance`` is the one
+validation prefix shared by loading and verifying.  Every invariant is
+computed in the internal cohomology convention; the declared convention
+is applied only to the reported numbers.
+
 The replay reads the one tower walk of ``froyshov.tower``: a kernel tower
 in degrees 0 and 4 (trace of the map restricted to each stage) and a span
 tower in degrees 1 and 5 (trace induced on each quotient), with the same
@@ -24,18 +32,17 @@ from .errors import (
     TheoremCounterexample,
 )
 from .froyshov import (
+    FAMILIES,
     Case,
     ReducedResult,
     SpecialPair,
-    delta_degree,
-    delta_prime_degree,
     froyshov_h,
     reduced,
     tower,
     tower_members,
 )
-from .graded import GradedMap, lefschetz, regrade
-from .instance import COHOMOLOGY, HOMOLOGY, Instance
+from .graded import GradedMap, lefschetz
+from .instance import HOMOLOGY, Instance, relabel
 from .qlinalg import (
     Matrix,
     Subspace,
@@ -101,67 +108,40 @@ class RelationReport:
             )
 
 
-def _same_parity_lower(n: int):
-    return range(n % 2, n, 2)
-
-
 def validate_relations(w: CobordismMap, sp: SpecialPair) -> RelationReport:
     """Check the relations between the map and both special families.
 
-    The degree-zero members must be fixed exactly (functional side:
-    delta_0 o W = delta_0; vector side: W o delta'_0 = delta'_0).  For
-    n >= 1 the defect of member n must lie in the span of the lower
-    same-parity members; the coefficients of one exact decomposition are
-    returned, with integrality and uniqueness reported.
+    Each member is read as a column (see ``froyshov.Family``) and checked
+    against the block of its degree, transposed for a functional.  The
+    defect of member n must lie in the span of the lower same-parity
+    members; for the degree-zero members that span is zero, so they must
+    be fixed exactly (delta_0 o W = delta_0, W o delta'_0 = delta'_0).
+    The coefficients of one exact decomposition are returned, with
+    integrality and uniqueness reported.
     """
-    a: dict[tuple[int, int], Fraction] = {}
-    b: dict[tuple[int, int], Fraction] = {}
     violations: list[RelationViolationRecord] = []
-    nonunique_a: list[int] = []
-    nonunique_b: list[int] = []
-
-    for n in range(sp.n_max + 1):
-        deg = delta_degree(n)
-        block = w.w.block(deg)
-        defect = sp.deltas[n] @ block - sp.deltas[n]
-        lower = list(_same_parity_lower(n))
-        if n == 0:
-            if not defect.is_zero:
-                violations.append(RelationViolationRecord("delta", 0, deg, defect))
-            continue
-        stacked = Matrix.zeros(0, sp.deltas[n].cols)
-        for i in lower:
-            stacked = stacked.vstack(sp.deltas[i])
-        coeffs = solve(stacked.transpose(), defect.transpose())
-        if coeffs is None:
-            violations.append(RelationViolationRecord("delta", n, deg, defect))
-            continue
-        for idx, i in enumerate(lower):
-            a[(i, n)] = coeffs.entry(idx, 0)
-        if rref(stacked).rank < len(lower):
-            nonunique_a.append(n)
-
-    for n in range(sp.n_max + 1):
-        deg = delta_prime_degree(n)
-        block = w.w.block(deg)
-        defect = block @ sp.deltas_prime[n] - sp.deltas_prime[n]
-        lower = list(_same_parity_lower(n))
-        if n == 0:
-            if not defect.is_zero:
-                violations.append(RelationViolationRecord("delta_prime", 0, deg, defect))
-            continue
-        stacked = Matrix.zeros(sp.deltas_prime[n].rows, 0)
-        for i in lower:
-            stacked = stacked.hstack(sp.deltas_prime[i])
-        coeffs = solve(stacked, defect)
-        if coeffs is None:
-            violations.append(RelationViolationRecord("delta_prime", n, deg, defect))
-            continue
-        for idx, i in enumerate(lower):
-            b[(i, n)] = coeffs.entry(idx, 0)
-        if rref(stacked).rank < len(lower):
-            nonunique_b.append(n)
-
+    solved = []  # (coefficients, nonunique indices) per family
+    for fam in FAMILIES:
+        cols = [fam.columnwise(m) for m in getattr(sp, fam.key)]
+        coeffs: dict[tuple[int, int], Fraction] = {}
+        nonunique: list[int] = []
+        for n, col in enumerate(cols):
+            deg = fam.degree(n)
+            defect = fam.columnwise(w.w.block(deg)) @ col - col
+            lower = range(n % 2, n, 2)  # the lower same-parity indices
+            stacked = Matrix.zeros(col.rows, 0)
+            for i in lower:
+                stacked = stacked.hstack(cols[i])
+            x = solve(stacked, defect)
+            if x is None:
+                shown = fam.columnwise(defect)  # in the member's shape
+                violations.append(RelationViolationRecord(fam.relation, n, deg, shown))
+                continue
+            coeffs.update({(i, n): x.entry(idx, 0) for idx, i in enumerate(lower)})
+            if rref(stacked).rank < len(lower):
+                nonunique.append(n)
+        solved.append((coeffs, tuple(nonunique)))
+    (a, nonunique_a), (b, nonunique_b) = solved
     return RelationReport(
         ok=not violations,
         a=a,
@@ -169,8 +149,8 @@ def validate_relations(w: CobordismMap, sp: SpecialPair) -> RelationReport:
         violations=tuple(violations),
         a_integral=all(x.denominator == 1 for x in a.values()),
         b_integral=all(x.denominator == 1 for x in b.values()),
-        nonunique_a=tuple(nonunique_a),
-        nonunique_b=tuple(nonunique_b),
+        nonunique_a=nonunique_a,
+        nonunique_b=nonunique_b,
     )
 
 
@@ -190,25 +170,28 @@ def reduced_induced(w: CobordismMap, red: ReducedResult) -> GradedMap:
     return GradedMap(red.hf_red, red.hf_red, 0, tuple(blocks))
 
 
-def lambda_fo(w: CobordismMap, convention: str = COHOMOLOGY) -> Fraction:
-    """Half the Lefschetz number, signed by the grading convention."""
-    lef = lefschetz(w.w)
-    if convention == HOMOLOGY:
-        return lef / 2
-    if convention == COHOMOLOGY:
-        return -lef / 2
-    raise ValueError(f"unknown convention {convention!r}")
+def validate_instance(instance: Instance) -> tuple[CobordismMap, ReducedResult, GradedMap]:
+    """Run the validation an instance must pass before its verdict.
+
+    Checks the relations (raising the typed error), the containment of B
+    in Z, and the invariance needed to induce the map on the reduced
+    theory; the family shapes were checked when the instance was built.
+    Returns the map, the reduced theory and the induced map W-hat.
+    """
+    w = CobordismMap(instance.w, instance.w_label)
+    validate_relations(w, instance.pair).raise_if_invalid()
+    red = reduced(instance.space, instance.pair)
+    return w, red, reduced_induced(w, red)
 
 
-def h_of_x(w: CobordismMap, w_hat: GradedMap, convention: str = COHOMOLOGY) -> Fraction:
-    """Half the difference of reduced and full Lefschetz numbers."""
-    lef_w = lefschetz(w.w)
-    lef_hat = lefschetz(w_hat)
-    if convention == HOMOLOGY:
-        return (lef_hat - lef_w) / 2
-    if convention == COHOMOLOGY:
-        return (lef_w - lef_hat) / 2
-    raise ValueError(f"unknown convention {convention!r}")
+def lambda_fo(w: CobordismMap) -> Fraction:
+    """Minus half the Lefschetz number (cohomology convention)."""
+    return -lefschetz(w.w) / 2
+
+
+def h_of_x(w: CobordismMap, w_hat: GradedMap) -> Fraction:
+    """Half the full minus the reduced Lefschetz number (cohomology convention)."""
+    return (lefschetz(w.w) - lefschetz(w_hat)) / 2
 
 
 @dataclass(frozen=True)
@@ -368,20 +351,15 @@ def verify_splitting(
     so with ``raise_on_failure`` it is reported as TheoremCounterexample;
     seeing one means an engine bug, not interesting mathematics.
     """
-    sp = instance.pair
-    sp.validate_against(instance.space)
-    w = CobordismMap(instance.w, instance.w_label)
-    validate_relations(w, sp).raise_if_invalid()
-    red = reduced(instance.space, sp)
-    w_hat = reduced_induced(w, red)
-
+    w, red, w_hat = validate_instance(instance)
     lef_w_coh = lefschetz(w.w)
     lef_hat_coh = lefschetz(w_hat)
-    lam = lambda_fo(w, COHOMOLOGY)
-    hx = h_of_x(w, w_hat, COHOMOLOGY)
-    hy = froyshov_h(instance.space, red, COHOMOLOGY)
+    lam = lambda_fo(w)
+    hx = h_of_x(w, w_hat)
+    hy = froyshov_h(instance.space, red)
 
-    view_hom = instance.convention == HOMOLOGY
+    conv = instance.convention
+    view_hom = conv == HOMOLOGY
     verdict = SplittingVerdict(
         lef_w=-lef_w_coh if view_hom else lef_w_coh,
         lef_w_hat=-lef_hat_coh if view_hom else lef_hat_coh,
@@ -390,10 +368,10 @@ def verify_splitting(
         h_y=hy,
         identity_hx_equals_hy=hx == hy,
         identity_splitting=lam + hx == -lef_hat_coh / 2,
-        convention=instance.convention,
-        reduced_dims=regrade(red.hf_red).dims if view_hom else red.hf_red.dims,
-        hf_dims=regrade(instance.space).dims if view_hom else instance.space.dims,
-        case=sp.case,
+        convention=conv,
+        reduced_dims=relabel(red.hf_red, conv).dims,
+        hf_dims=relabel(instance.space, conv).dims,
+        case=instance.pair.case,
         w_label=instance.w_label,
         trace_log=trace_towers(instance) if with_trace else None,
     )
@@ -411,7 +389,9 @@ class RefinementReport:
     On the functional side the difference of traces in degrees 0 and 4
     equals the codimension of Z there; on the vector side the difference
     in degrees 1 and 5 equals the dimension of B; every other degree
-    contributes no difference at all.
+    contributes no difference at all.  Since Z is the whole space outside
+    degrees 0 and 4 and B is zero outside 1 and 5, each expected value is
+    dim H^q minus the reduced dimension in degree q.
     """
 
     diffs: tuple[Fraction, ...]
@@ -428,12 +408,5 @@ def trace_refinement(instance: Instance) -> RefinementReport:
     red = reduced(instance.space, sp)
     w_hat = reduced_induced(w, red)
     diffs = tuple(trace(w.w.block(q)) - trace(w_hat.block(q)) for q in range(8))
-    expected = []
-    for q in range(8):
-        if q in (0, 4):
-            expected.append(instance.space.dim(q) - red.z[q].dim)
-        elif q in (1, 5):
-            expected.append(red.b[q].dim)
-        else:
-            expected.append(0)
-    return RefinementReport(diffs, tuple(expected))
+    expected = tuple(instance.space.dim(q) - red.hf_red.dim(q) for q in range(8))
+    return RefinementReport(diffs, expected)

@@ -6,11 +6,15 @@ level: the induced families delta_n (functionals on degrees 4, 0
 alternating with n) and delta'_n (vectors in degrees 1, 5 alternating),
 grown by one Krylov loop, the dichotomy between them, the subspaces Z and
 B they carve out, the reduced groups Z/B, and the Froyshov invariant as
-half an Euler characteristic difference.
+half an Euler characteristic difference, always in the internal
+cohomology convention.
 
-Z^q and B^q are the last stages of one filtration tower walk (``tower``
-over ``tower_members``), which the stabilization report and the cobordism
-tower replay read as well.
+The two families are dual: a functional is a transposed vector.  Each
+``Family`` in ``FAMILIES`` says where its members live and how they read
+as columns, so every check that concerns both families is one loop over
+them.  Z^q and B^q are the last stages of one filtration tower walk
+(``tower`` over ``tower_members``), which the cobordism tower replay
+reads as well.
 
 The degree +4 operator is required to be a strict chain map.  That is the
 minimal condition making the induced families well defined on cohomology;
@@ -23,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Callable
 
 from .errors import DichotomyViolation, InclusionViolation, ValidationError
 from .graded import CochainComplex, CohomologyResult, GradedMap, GradedSpace, euler, induced_map
@@ -45,6 +50,32 @@ def delta_degree(n: int) -> int:
 def delta_prime_degree(n: int) -> int:
     """Degree carrying the n-th vector: 1 for even n, 5 for odd."""
     return (1 + 4 * n) % 8
+
+
+@dataclass(frozen=True)
+class Family:
+    """One special family; a functional (1 x dim row) is a transposed vector."""
+
+    key: str        # the SpecialPair field and the document array
+    relation: str   # the name in relation reports
+    case: Case      # the case in which the family may be nonzero
+    degree: Callable[[int], int]
+    functional: bool
+
+    def shape(self, dim: int) -> tuple[int, int]:
+        return (1, dim) if self.functional else (dim, 1)
+
+    def columnwise(self, m: Matrix) -> Matrix:
+        """A member read as a column, or a block as acting on columns: ``m``
+        transposed for functionals, as is for vectors (an involution, so
+        it also reads a column back as a member)."""
+        return m.transpose() if self.functional else m
+
+
+FAMILIES = (
+    Family("deltas", "delta", Case.DELTA_SIDE, delta_degree, True),
+    Family("deltas_prime", "delta_prime", Case.DELTA_PRIME_SIDE, delta_prime_degree, False),
+)
 
 
 @dataclass(frozen=True)
@@ -78,6 +109,21 @@ def validate_chain_special(cs: ChainSpecial, cx: CochainComplex) -> None:
             raise ValidationError(f"v is not a chain map at degree {q}")
 
 
+def derive_case(deltas, deltas_prime) -> Case:
+    d_nonzero = any(not m.is_zero for m in deltas)
+    p_nonzero = any(not m.is_zero for m in deltas_prime)
+    if d_nonzero and p_nonzero:
+        raise DichotomyViolation("both special families are nonzero on cohomology")
+    if d_nonzero:
+        return Case.DELTA_SIDE
+    if p_nonzero:
+        return Case.DELTA_PRIME_SIDE
+    return Case.BOTH_ZERO
+
+
+_SIDE = {Case.DELTA_SIDE: "delta", Case.DELTA_PRIME_SIDE: "delta'"}
+
+
 @dataclass(frozen=True)
 class SpecialPair:
     """Cohomology-level families with their case tag.
@@ -98,47 +144,21 @@ class SpecialPair:
             raise ValidationError("n_max must be nonnegative")
         if len(self.deltas) != self.n_max + 1 or len(self.deltas_prime) != self.n_max + 1:
             raise ValidationError("families must have entries for 0 <= n <= n_max")
-        d_nonzero = any(not m.is_zero for m in self.deltas)
-        p_nonzero = any(not m.is_zero for m in self.deltas_prime)
-        if d_nonzero and p_nonzero:
-            raise DichotomyViolation("both special families have a nonzero member")
-        if self.case is Case.DELTA_SIDE and p_nonzero:
-            raise DichotomyViolation("delta-side pair carries a nonzero delta' member")
-        if self.case is Case.DELTA_PRIME_SIDE and d_nonzero:
-            raise DichotomyViolation("delta'-side pair carries a nonzero delta member")
-        if self.case is Case.BOTH_ZERO and (d_nonzero or p_nonzero):
-            raise ValidationError("both-zero pair carries a nonzero member")
+        found = derive_case(self.deltas, self.deltas_prime)
+        if found is not Case.BOTH_ZERO and self.case is not found:
+            if self.case is Case.BOTH_ZERO:
+                raise ValidationError("both-zero pair carries a nonzero member")
+            raise DichotomyViolation(
+                f"{_SIDE[self.case]}-side pair carries a nonzero {_SIDE[found]} member"
+            )
 
     def validate_against(self, h: GradedSpace) -> None:
-        for n, m in enumerate(self.deltas):
-            if (m.rows, m.cols) != (1, h.dim(delta_degree(n))):
-                raise ValidationError(f"deltas[{n}] has the wrong shape for degree {delta_degree(n)}")
-        for n, m in enumerate(self.deltas_prime):
-            if (m.rows, m.cols) != (h.dim(delta_prime_degree(n)), 1):
-                raise ValidationError(
-                    f"deltas_prime[{n}] has the wrong shape for degree {delta_prime_degree(n)}"
-                )
-
-    @staticmethod
-    def both_zero(h: GradedSpace, n_max: int = 1) -> "SpecialPair":
-        return SpecialPair(
-            n_max,
-            tuple(Matrix.zeros(1, h.dim(delta_degree(n))) for n in range(n_max + 1)),
-            tuple(Matrix.zeros(h.dim(delta_prime_degree(n)), 1) for n in range(n_max + 1)),
-            Case.BOTH_ZERO,
-        )
-
-
-def derive_case(deltas, deltas_prime) -> Case:
-    d_nonzero = any(not m.is_zero for m in deltas)
-    p_nonzero = any(not m.is_zero for m in deltas_prime)
-    if d_nonzero and p_nonzero:
-        raise DichotomyViolation("both special families are nonzero on cohomology")
-    if d_nonzero:
-        return Case.DELTA_SIDE
-    if p_nonzero:
-        return Case.DELTA_PRIME_SIDE
-    return Case.BOTH_ZERO
+        for fam in FAMILIES:
+            for n, m in enumerate(getattr(self, fam.key)):
+                if (m.rows, m.cols) != fam.shape(h.dim(fam.degree(n))):
+                    raise ValidationError(
+                        f"{fam.key}[{n}] has the wrong shape for degree {fam.degree(n)}"
+                    )
 
 
 def krylov_families(d0: Matrix, p0: Matrix, v_blocks, dims, n_min: int):
@@ -201,11 +221,9 @@ def tower_members(sp: SpecialPair, q: int) -> tuple[tuple[int, Matrix], ...]:
     Functionals act at 0 (odd n) and 4 (even n), vectors at 1 (even n)
     and 5 (odd n); no member acts at any other degree.
     """
-    if q in (0, 4):
-        return tuple((n, m) for n, m in enumerate(sp.deltas) if delta_degree(n) == q)
-    if q in (1, 5):
-        return tuple((n, m) for n, m in enumerate(sp.deltas_prime) if delta_prime_degree(n) == q)
-    return ()
+    return tuple(
+        (n, m) for fam in FAMILIES for n, m in enumerate(getattr(sp, fam.key)) if fam.degree(n) == q
+    )
 
 
 def tower(dim: int, q: int, members):
@@ -224,24 +242,23 @@ def tower(dim: int, q: int, members):
         stage = nxt
 
 
+def _tower_ends(h: GradedSpace, sp: SpecialPair, degrees, start) -> tuple[Subspace, ...]:
+    sp.validate_against(h)
+    ends = [start(h.dim(q)) for q in range(8)]
+    for q in degrees:
+        for _, _, _, ends[q] in tower(h.dim(q), q, tower_members(sp, q)):  # keep the last stage
+            pass
+    return tuple(ends)
+
+
 def z_subspaces(h: GradedSpace, sp: SpecialPair) -> tuple[Subspace, ...]:
     """Common kernels of the functionals: cut down in degrees 0 and 4 only."""
-    sp.validate_against(h)
-    z = [Subspace.full(h.dim(q)) for q in range(8)]
-    for q in (0, 4):
-        for _, _, _, z[q] in tower(h.dim(q), q, tower_members(sp, q)):  # keep the last stage
-            pass
-    return tuple(z)
+    return _tower_ends(h, sp, (0, 4), Subspace.full)
 
 
 def b_subspaces(h: GradedSpace, sp: SpecialPair) -> tuple[Subspace, ...]:
     """Spans of the vectors: nonzero in degrees 1 and 5 only."""
-    sp.validate_against(h)
-    b = [Subspace.zero(h.dim(q)) for q in range(8)]
-    for q in (1, 5):
-        for _, _, _, b[q] in tower(h.dim(q), q, tower_members(sp, q)):  # keep the last stage
-            pass
-    return tuple(b)
+    return _tower_ends(h, sp, (1, 5), Subspace.zero)
 
 
 @dataclass(frozen=True)
@@ -279,56 +296,11 @@ def reduced(h: GradedSpace, sp: SpecialPair) -> ReducedResult:
     return reduced_from_subspaces(h, z_subspaces(h, sp), b_subspaces(h, sp))
 
 
-def froyshov_h(h: GradedSpace, red: ReducedResult, convention: str = "cohomology") -> Fraction:
+def froyshov_h(h: GradedSpace, red: ReducedResult) -> Fraction:
     """Half the Euler characteristic difference of full and reduced theories.
 
-    Cohomology convention: (chi(HF) - chi(reduced)) / 2; the signs swap in
-    homology convention.  The value is an integer for genuinely periodic
-    data; half-integers are possible on synthetic instances and are
-    reported as-is.
+    In the internal cohomology convention: (chi(HF) - chi(reduced)) / 2.
+    The value is an integer for genuinely periodic data; half-integers are
+    possible on synthetic instances and are reported as-is.
     """
-    if convention == "cohomology":
-        return Fraction(euler(h) - euler(red.hf_red), 2)
-    if convention == "homology":
-        return Fraction(euler(red.hf_red) - euler(h), 2)
-    raise ValueError(f"unknown convention {convention!r}")
-
-
-@dataclass(frozen=True)
-class PeriodicityReport:
-    """Advisory 4-periodicity check; synthetic instances may fail it."""
-
-    hf_periodic: bool
-    reduced_periodic: bool
-
-
-def check_periodicity(h: GradedSpace, red: ReducedResult) -> PeriodicityReport:
-    def per(dims):
-        return all(dims[q] == dims[(q + 4) % 8] for q in range(8))
-
-    return PeriodicityReport(per(h.dims), per(red.hf_red.dims))
-
-
-@dataclass(frozen=True)
-class StabilizationReport:
-    """Index after which each tower stops moving; None means it never moved."""
-
-    z0: int | None
-    z4: int | None
-    b1: int | None
-    b5: int | None
-
-
-def stabilization_indices(h: GradedSpace, sp: SpecialPair) -> StabilizationReport:
-    sp.validate_against(h)
-
-    def last_change(q: int) -> int | None:
-        last = None
-        for n, _, prev, nxt in tower(h.dim(q), q, tower_members(sp, q)):
-            if nxt != prev:
-                last = n
-        return last
-
-    return StabilizationReport(
-        z0=last_change(0), z4=last_change(4), b1=last_change(1), b5=last_change(5)
-    )
+    return Fraction(euler(h) - euler(red.hf_red), 2)

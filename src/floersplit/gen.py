@@ -10,8 +10,8 @@ A family member lying in the span of the lower same-parity members has
 its relation satisfied automatically once the lower ones hold, so only
 the independent members contribute equations and planted coefficients;
 the included rows are then linearly independent and the solve cannot
-fail.  Remaining infeasibilities are retried internally and reported
-with the seed if the retry budget runs out.
+fail.  Every emitted instance is still run through the relation
+validator, and a failure is reported as ``Infeasible`` with the seed.
 
 Chain-level complexes are drawn in split form: each degree decomposes
 into an acyclic part mapped isomorphically one degree up and a harmonic
@@ -30,11 +30,10 @@ from fractions import Fraction
 from .cobordism import CobordismMap, validate_relations
 from .errors import Infeasible, ValidationError
 from .froyshov import (
+    FAMILIES,
     Case,
     ChainSpecial,
     SpecialPair,
-    delta_degree,
-    delta_prime_degree,
     derive_case,
     induce_special,
     krylov_families,
@@ -43,8 +42,6 @@ from .froyshov import (
 from .graded import CochainComplex, GradedMap, GradedSpace, cohomology, induced_map
 from .instance import COHOMOLOGY, Instance, LEVEL_CHAIN, LEVEL_COHOMOLOGY
 from .qlinalg import Matrix, Subspace, kernel_basis, solve
-
-RETRY_BOUND = 40
 
 _CASES = (Case.DELTA_SIDE, Case.DELTA_PRIME_SIDE, Case.BOTH_ZERO)
 
@@ -68,10 +65,6 @@ class GenConfig:
             raise ValidationError("case_mix needs 3 nonnegative weights, not all zero")
         if self.entry_bound < 1:
             raise ValidationError("entry_bound must be positive")
-
-
-class _Retry(Exception):
-    pass
 
 
 def _rand_matrix(rng: random.Random, rows: int, cols: int, bound: int) -> Matrix:
@@ -119,9 +112,7 @@ def _solve_member_block(rng, dim, members, bound, planted):
             d_mat = d_mat.vstack(row)
             r_mat = r_mat.vstack(rhs)
         span = span.sum_with(member_span)
-    part = solve(d_mat, r_mat)
-    if part is None:
-        raise _Retry  # cannot happen: included rows are independent
+    part = solve(d_mat, r_mat)  # never None: the included rows are independent
     ker = kernel_basis(d_mat)
     if ker.dim:
         part = part + ker.basis @ _rand_matrix(rng, ker.dim, dim, bound)
@@ -172,24 +163,21 @@ def _w_blocks(rng, space, pair, bound, periodic):
 
 
 def _draw_pair(rng, space, case, n_eff, bound, periodic):
-    deltas = [Matrix.zeros(1, space.dim(delta_degree(n))) for n in range(n_eff + 1)]
-    primes = [Matrix.zeros(space.dim(delta_prime_degree(n)), 1) for n in range(n_eff + 1)]
-    if case is Case.DELTA_SIDE:
-        for n in range(n_eff + 1):
+    """Draw the family that ``case`` allows; the other stays zero."""
+    families = []
+    for fam in FAMILIES:
+        shapes = [fam.shape(space.dim(fam.degree(n))) for n in range(n_eff + 1)]
+        members = [Matrix.zeros(*shape) for shape in shapes]
+        for n in range(n_eff + 1) if case is fam.case else ():
             if periodic and n % 2 == 1:
-                deltas[n] = deltas[n - 1]
+                members[n] = members[n - 1]
             else:
-                prev = [deltas[i] for i in range(n % 2, n, 2)]
-                deltas[n] = _draw_member(rng, (1, space.dim(delta_degree(n))), bound, prev)
-    elif case is Case.DELTA_PRIME_SIDE:
-        for n in range(n_eff + 1):
-            if periodic and n % 2 == 1:
-                primes[n] = primes[n - 1]
-            else:
-                prev = [primes[i] for i in range(n % 2, n, 2)]
-                primes[n] = _draw_member(rng, (space.dim(delta_prime_degree(n)), 1), bound, prev)
+                prev = [members[i] for i in range(n % 2, n, 2)]
+                members[n] = _draw_member(rng, shapes[n], bound, prev)
+        families.append(tuple(members))
+    deltas, primes = families
     # an unlucky draw may leave the active family all zero; retag
-    return SpecialPair(n_eff, tuple(deltas), tuple(primes), derive_case(deltas, primes))
+    return SpecialPair(n_eff, deltas, primes, derive_case(deltas, primes))
 
 
 def _planted_metadata(planted_a, planted_b):
@@ -199,7 +187,15 @@ def _planted_metadata(planted_a, planted_b):
     }
 
 
-def _build_instance(rng: random.Random, cfg: GenConfig) -> Instance:
+def gen_instance(cfg: GenConfig) -> Instance:
+    """Deterministic-in-seed cohomology-level instance.
+
+    The emitted instance always passes the relation validator and the
+    dichotomy, and identical configs give identical instances.
+    """
+    if cfg.chain_level:
+        return gen_chain_instance(cfg)
+    rng = random.Random(cfg.seed)
     bound = cfg.entry_bound
     dims = [rng.randint(0, cfg.max_dim) for _ in range(8)]
     if cfg.periodic:
@@ -233,24 +229,6 @@ def _build_instance(rng: random.Random, cfg: GenConfig) -> Instance:
     if not report.ok:
         raise Infeasible(f"generated instance failed validation (seed {cfg.seed})")
     return inst
-
-
-def gen_instance(cfg: GenConfig) -> Instance:
-    """Deterministic-in-seed cohomology-level instance.
-
-    The emitted instance always passes the relation validator and the
-    dichotomy; unsolvable draws are retried on the same random stream, so
-    identical configs give identical instances.
-    """
-    if cfg.chain_level:
-        return gen_chain_instance(cfg)
-    rng = random.Random(cfg.seed)
-    for _ in range(RETRY_BOUND):
-        try:
-            return _build_instance(rng, cfg)
-        except _Retry:
-            continue
-    raise Infeasible(f"no valid instance within {RETRY_BOUND} attempts for seed {cfg.seed}")
 
 
 # -- chain level -----------------------------------------------------
@@ -331,7 +309,9 @@ def _block_of(m: Matrix, a, h, cf, q, shift):
     return m.submatrix(range(cf[t] - h[t], cf[t]), range(cf[q] - h[q], cf[q]))
 
 
-def _build_chain_instance(rng: random.Random, cfg: GenConfig) -> Instance:
+def gen_chain_instance(cfg: GenConfig) -> Instance:
+    """Deterministic-in-seed chain-level instance with planted cohomology."""
+    rng = random.Random(cfg.seed)
     bound = cfg.entry_bound
     amax = max(1, cfg.max_dim // 2)
     a = [rng.randint(0, amax) for _ in range(8)]
@@ -431,17 +411,6 @@ def _build_chain_instance(rng: random.Random, cfg: GenConfig) -> Instance:
     return inst
 
 
-def gen_chain_instance(cfg: GenConfig) -> Instance:
-    """Deterministic-in-seed chain-level instance with planted cohomology."""
-    rng = random.Random(cfg.seed)
-    for _ in range(RETRY_BOUND):
-        try:
-            return _build_chain_instance(rng, cfg)
-        except _Retry:
-            continue
-    raise Infeasible(f"no valid chain instance within {RETRY_BOUND} attempts for seed {cfg.seed}")
-
-
 def product_cobordism(instance: Instance) -> Instance:
     """Same spaces and special pair, cobordism map replaced by identity."""
     chain_ident = GradedMap.identity(instance.complex.space) if instance.complex else None
@@ -455,20 +424,15 @@ def redraw_cobordism(instance: Instance, seed: int, entry_bound: int = 3) -> Ins
     choice of map; new correction coefficients are planted and a new
     solution of the relation system is drawn.
     """
-    rng = random.Random(seed)
     sp, space = instance.pair, instance.space
-    for _ in range(RETRY_BOUND):
-        try:
-            blocks, _, _ = _w_blocks(rng, space, sp, entry_bound, periodic=False)
-        except _Retry:
-            continue
-        w = GradedMap(space, space, 0, tuple(blocks))
-        if validate_relations(CobordismMap(w), sp).ok:
-            # the fresh map has no chain-level lift, so the result is a
-            # plain cohomology-level instance
-            return dataclasses.replace(
-                instance,
-                w=w, w_label=f"W(redraw={seed})",
-                level=LEVEL_COHOMOLOGY, complex=None, chain_special=None, chain_w=None,
-            )
-    raise Infeasible(f"no replacement cobordism within {RETRY_BOUND} attempts for seed {seed}")
+    blocks, _, _ = _w_blocks(random.Random(seed), space, sp, entry_bound, periodic=False)
+    w = GradedMap(space, space, 0, tuple(blocks))
+    if not validate_relations(CobordismMap(w), sp).ok:
+        raise Infeasible(f"redrawn cobordism failed validation (seed {seed})")
+    # the fresh map has no chain-level lift, so the result is a plain
+    # cohomology-level instance
+    return dataclasses.replace(
+        instance,
+        w=w, w_label=f"W(redraw={seed})",
+        level=LEVEL_COHOMOLOGY, complex=None, chain_special=None, chain_w=None,
+    )

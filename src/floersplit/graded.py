@@ -48,10 +48,6 @@ class GradedSpace:
     def dim(self, q: int) -> int:
         return self.dims[_mod8(q)]
 
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
 
 @dataclass(frozen=True)
 class GradedMap:
@@ -73,10 +69,6 @@ class GradedMap:
                 raise ValidationError(
                     f"block {q} has shape {b.rows}x{b.cols}, expected {want[0]}x{want[1]}"
                 )
-
-    @staticmethod
-    def from_blocks(source: GradedSpace, target: GradedSpace, shift: int, blocks) -> "GradedMap":
-        return GradedMap(source, target, shift, tuple(blocks))
 
     @staticmethod
     def identity(space: GradedSpace) -> "GradedMap":

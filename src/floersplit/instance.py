@@ -3,7 +3,8 @@ cobordism map, grading-convention flag, and optional chain-level data.
 
 Instances are always stored internally in the cohomology convention;
 ``convention`` records how the source document was graded so reports can
-show the user's numbers.
+show the user's numbers.  ``relabel`` is the one place that convention is
+applied, at the document and report boundary.
 """
 
 from __future__ import annotations
@@ -13,12 +14,21 @@ from typing import Any, Mapping
 
 from .errors import ValidationError
 from .froyshov import ChainSpecial, SpecialPair
-from .graded import CochainComplex, GradedMap, GradedSpace
+from .graded import CochainComplex, GradedMap, GradedSpace, regrade
 
 HOMOLOGY = "homology"
 COHOMOLOGY = "cohomology"
 LEVEL_COHOMOLOGY = "cohomology-level"
 LEVEL_CHAIN = "chain-level"
+
+
+def relabel(x, convention: str):
+    """A space or map between the internal grading and ``convention``.
+
+    Homology relabels degrees with ``regrade``, an involution, so the same
+    call serves loading and writing; cohomology is the internal grading.
+    """
+    return regrade(x) if convention == HOMOLOGY else x
 
 
 @dataclass(frozen=True)

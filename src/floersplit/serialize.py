@@ -2,9 +2,11 @@
 
 Documents carry their grading convention; everything degree-indexed in a
 homology-convention document is relabeled on load (degree q to 5 - q mod
-8) so the engine always works in the cohomology convention, and written
-back out the same way so the user's numbers round-trip bit-exactly.
-Rational entries are integers or "p/q" strings, never floats.
+8, through ``instance.relabel``) so the engine always works in the
+cohomology convention, and written back out the same way so the user's
+numbers round-trip bit-exactly.  Rational entries are integers or "p/q"
+strings, never floats.  Loading ends in ``validate_instance``, the same
+validation prefix that ``verify_splitting`` runs.
 """
 
 from __future__ import annotations
@@ -13,19 +15,12 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .cobordism import CobordismMap, reduced_induced, validate_relations
+from .cobordism import validate_instance
 from .errors import ParseError
-from .froyshov import (
-    Case,
-    ChainSpecial,
-    SpecialPair,
-    delta_degree,
-    delta_prime_degree,
-    induce_special,
-    reduced,
-)
-from .graded import CochainComplex, GradedMap, GradedSpace, cohomology, induced_map, regrade
-from .instance import COHOMOLOGY, HOMOLOGY, Instance, LEVEL_CHAIN, LEVEL_COHOMOLOGY
+from .froyshov import FAMILIES, Case, ChainSpecial, SpecialPair, induce_special
+from .graded import CochainComplex, GradedMap, GradedSpace, cohomology, induced_map
+from .instance import COHOMOLOGY, HOMOLOGY, Instance, LEVEL_CHAIN, LEVEL_COHOMOLOGY, relabel
+from .qlinalg import Matrix
 
 SCHEMA_VERSION = "1"
 
@@ -57,8 +52,6 @@ def matrix_to_json(m) -> list:
 
 
 def matrix_from_json(obj, rows: int, cols: int, where: str):
-    from .qlinalg import Matrix
-
     if not isinstance(obj, list) or len(obj) != rows:
         raise ParseError(f"{where}: expected {rows} rows, got {obj!r}")
     data = []
@@ -89,42 +82,26 @@ def _dims_from_json(obj, where: str) -> GradedSpace:
 
 
 def _family_from_json(doc_special, h_doc: GradedSpace, convention: str, n_max: int):
-    """Parse both families; missing or empty arrays mean all-zero."""
-    from .qlinalg import Matrix
+    """Parse both families; missing or empty arrays mean all-zero.
 
-    deltas, primes = [], []
-    raw_d = doc_special.get("deltas") or []
-    raw_p = doc_special.get("deltas_prime") or []
-    if raw_d and len(raw_d) != n_max + 1:
-        raise ParseError("deltas must have n_max + 1 members or be empty")
-    if raw_p and len(raw_p) != n_max + 1:
-        raise ParseError("deltas_prime must have n_max + 1 members or be empty")
-    for n in range(n_max + 1):
-        dim = h_doc.dims[_doc_degree(delta_degree(n), convention)]
-        if raw_d:
-            deltas.append(matrix_from_json(raw_d[n], 1, dim, f"deltas[{n}]"))
-        else:
-            deltas.append(Matrix.zeros(1, dim))
-        pdim = h_doc.dims[_doc_degree(delta_prime_degree(n), convention)]
-        if raw_p:
-            primes.append(matrix_from_json(raw_p[n], pdim, 1, f"deltas_prime[{n}]"))
-        else:
-            primes.append(Matrix.zeros(pdim, 1))
-    return tuple(deltas), tuple(primes)
-
-
-def validate_instance(instance: Instance) -> None:
-    """Run the full structural validation an instance must pass.
-
-    Checks the family shapes, the relations (raising the typed error),
-    the containment of B in Z, and the invariance needed to induce the
-    map on the reduced theory.
+    Both length checks run first, then the members are parsed in
+    increasing n, each n's functional before its vector.
     """
-    instance.pair.validate_against(instance.space)
-    w = CobordismMap(instance.w, instance.w_label)
-    validate_relations(w, instance.pair).raise_if_invalid()
-    red = reduced(instance.space, instance.pair)
-    reduced_induced(w, red)
+    raws = []
+    for fam in FAMILIES:
+        raw = doc_special.get(fam.key) or []
+        if raw and len(raw) != n_max + 1:
+            raise ParseError(f"{fam.key} must have n_max + 1 members or be empty")
+        raws.append(raw)
+    families = ([], [])
+    for n in range(n_max + 1):
+        for fam, raw, members in zip(FAMILIES, raws, families):
+            rows, cols = fam.shape(h_doc.dims[_doc_degree(fam.degree(n), convention)])
+            if raw:
+                members.append(matrix_from_json(raw[n], rows, cols, f"{fam.key}[{n}]"))
+            else:
+                members.append(Matrix.zeros(rows, cols))
+    return tuple(map(tuple, families))
 
 
 def document_to_instance(doc: Any) -> Instance:
@@ -165,47 +142,35 @@ def document_to_instance(doc: Any) -> Instance:
             raise ParseError(f"unknown case {case_str!r}") from None
         deltas, primes = _family_from_json(special, h_doc, convention, n_max)
         w_doc = _graded_map_from_json(cob["blocks"], h_doc, 0, "cobordism.blocks")
-        if convention == HOMOLOGY:
-            space, w = regrade(h_doc), regrade(w_doc)
-        else:
-            space, w = h_doc, w_doc
-        pair = SpecialPair(n_max, deltas, primes, case)
-        inst = Instance(
-            space=space, pair=pair, w=w, w_label=label,
-            convention=convention, level=level, metadata=metadata,
-        )
-        validate_instance(inst)
-        return inst
-
-    cf_doc = _dims_from_json(spaces.get("cf"), "spaces.cf")
-    d_shift_doc = 1 if convention == COHOMOLOGY else 7
-    d_doc = _graded_map_from_json(doc.get("differential"), cf_doc, d_shift_doc, "differential")
-    v_doc = _graded_map_from_json(doc.get("v"), cf_doc, 4, "v")
-    w_doc = _graded_map_from_json(cob["blocks"], cf_doc, 0, "cobordism.blocks")
-    delta = matrix_from_json(
-        doc.get("delta"), 1, cf_doc.dims[_doc_degree(4, convention)], "delta"
-    )
-    delta_prime = matrix_from_json(
-        doc.get("delta_prime"), cf_doc.dims[_doc_degree(1, convention)], 1, "delta_prime"
-    )
-    n_max = doc.get("n_max", 4)
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
-        raise ParseError("n_max must be a positive integer")
-    if convention == HOMOLOGY:
-        cf_space, d_map, v_map, w_chain = (
-            regrade(cf_doc), regrade(d_doc), regrade(v_doc), regrade(w_doc)
-        )
+        pair, chain = SpecialPair(n_max, deltas, primes, case), {}
+        space, w = relabel(h_doc, convention), relabel(w_doc, convention)
     else:
-        cf_space, d_map, v_map, w_chain = cf_doc, d_doc, v_doc, w_doc
-    cx = CochainComplex(cf_space, d_map)
-    cs = ChainSpecial(delta, delta_prime, v_map)
-    coh = cohomology(cx)
-    pair = induce_special(cs, coh, n_max)
-    w = induced_map(w_chain, coh, coh)
+        cf_doc = _dims_from_json(spaces.get("cf"), "spaces.cf")
+        d_shift_doc = 1 if convention == COHOMOLOGY else 7
+        d_doc = _graded_map_from_json(doc.get("differential"), cf_doc, d_shift_doc, "differential")
+        v_doc = _graded_map_from_json(doc.get("v"), cf_doc, 4, "v")
+        w_doc = _graded_map_from_json(cob["blocks"], cf_doc, 0, "cobordism.blocks")
+        delta = matrix_from_json(
+            doc.get("delta"), 1, cf_doc.dims[_doc_degree(4, convention)], "delta"
+        )
+        delta_prime = matrix_from_json(
+            doc.get("delta_prime"), cf_doc.dims[_doc_degree(1, convention)], 1, "delta_prime"
+        )
+        n_max = doc.get("n_max", 4)
+        if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
+            raise ParseError("n_max must be a positive integer")
+        cf_space, d_map, v_map, w_chain = (
+            relabel(x, convention) for x in (cf_doc, d_doc, v_doc, w_doc)
+        )
+        cx = CochainComplex(cf_space, d_map)
+        cs = ChainSpecial(delta, delta_prime, v_map)
+        coh = cohomology(cx)
+        pair = induce_special(cs, coh, n_max)
+        space, w = coh.h_space, induced_map(w_chain, coh, coh)
+        chain = {"complex": cx, "chain_special": cs, "chain_w": w_chain}
     inst = Instance(
-        space=coh.h_space, pair=pair, w=w, w_label=label,
-        convention=convention, level=level,
-        complex=cx, chain_special=cs, chain_w=w_chain, metadata=metadata,
+        space=space, pair=pair, w=w, w_label=label,
+        convention=convention, level=level, metadata=metadata, **chain,
     )
     validate_instance(inst)
     return inst
@@ -221,31 +186,25 @@ def instance_to_document(instance: Instance) -> dict:
         "metadata": dict(instance.metadata),
     }
     if instance.level == LEVEL_COHOMOLOGY:
-        space_doc = regrade(instance.space) if conv == HOMOLOGY else instance.space
-        w_doc = regrade(instance.w) if conv == HOMOLOGY else instance.w
-        doc["spaces"] = {"hf": list(space_doc.dims)}
+        w_doc = relabel(instance.w, conv)
+        doc["spaces"] = {"hf": list(relabel(instance.space, conv).dims)}
         doc["special"] = {
             "case": instance.pair.case.value,
             "n_max": instance.pair.n_max,
             "deltas": [matrix_to_json(m) for m in instance.pair.deltas],
             "deltas_prime": [matrix_to_json(m) for m in instance.pair.deltas_prime],
         }
-        doc["cobordism"] = {
-            "label": instance.w_label,
-            "blocks": [matrix_to_json(b) for b in w_doc.blocks],
-        }
-        return doc
-    cx, cs = instance.complex, instance.chain_special
-    cf_doc = regrade(cx.space) if conv == HOMOLOGY else cx.space
-    d_doc = regrade(cx.d) if conv == HOMOLOGY else cx.d
-    v_doc = regrade(cs.v) if conv == HOMOLOGY else cs.v
-    w_doc = regrade(instance.chain_w) if conv == HOMOLOGY else instance.chain_w
-    doc["spaces"] = {"cf": list(cf_doc.dims)}
-    doc["differential"] = [matrix_to_json(b) for b in d_doc.blocks]
-    doc["v"] = [matrix_to_json(b) for b in v_doc.blocks]
-    doc["delta"] = matrix_to_json(cs.delta)
-    doc["delta_prime"] = matrix_to_json(cs.delta_prime)
-    doc["n_max"] = instance.pair.n_max
+    else:
+        cx, cs = instance.complex, instance.chain_special
+        cf_doc, d_doc, v_doc, w_doc = (
+            relabel(x, conv) for x in (cx.space, cx.d, cs.v, instance.chain_w)
+        )
+        doc["spaces"] = {"cf": list(cf_doc.dims)}
+        doc["differential"] = [matrix_to_json(b) for b in d_doc.blocks]
+        doc["v"] = [matrix_to_json(b) for b in v_doc.blocks]
+        doc["delta"] = matrix_to_json(cs.delta)
+        doc["delta_prime"] = matrix_to_json(cs.delta_prime)
+        doc["n_max"] = instance.pair.n_max
     doc["cobordism"] = {
         "label": instance.w_label,
         "blocks": [matrix_to_json(b) for b in w_doc.blocks],

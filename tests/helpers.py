@@ -200,3 +200,27 @@ def random_chain_selfmap(rng: random.Random, cx: CochainComplex, a, h, shift=0, 
         put(random_small_matrix(rng, h[t], h[q], bound), a[t] + bt, a[q] + bq)
         blocks.append(Matrix.from_rows(rows, cols=cf[q]))
     return GradedMap(cx.space, cx.space, shift, tuple(blocks))
+
+
+def perturb_w(w: GradedMap, sp, k: int) -> GradedMap:
+    """W with the block that member k of the nonzero family acts on moved
+    by half a rank-one term through that member.
+
+    The shift puts member k's own defect on a multiple of itself (a
+    violation unless that multiple is zero) and moves higher same-parity
+    defects within the span of member k (half-integral coefficients).
+    A both-zero pair leaves W unchanged.
+    """
+    from floersplit.froyshov import Case, delta_degree, delta_prime_degree
+
+    if sp.case is Case.DELTA_SIDE:
+        q, m = delta_degree(k), sp.deltas[k]
+        bump = Matrix.from_rows([[1]] * m.cols, cols=1) @ m
+    elif sp.case is Case.DELTA_PRIME_SIDE:
+        q, m = delta_prime_degree(k), sp.deltas_prime[k]
+        bump = m @ Matrix.from_rows([[1] * m.rows], cols=m.rows)
+    else:
+        return w
+    blocks = list(w.blocks)
+    blocks[q] = blocks[q] + bump.scale(Fraction(1, 2))
+    return GradedMap(w.source, w.target, w.shift, tuple(blocks))

@@ -100,7 +100,7 @@ def test_criterion_3_euler_characteristics():
         red = reduced(inst.space, inst.pair)
         assert euler(regrade(red.hf_red)) == -8
         assert Fraction(euler(regrade(red.hf_red)) - euler(hom_space), 2) == 2
-        assert froyshov_h(inst.space, red, "cohomology") == 2
+        assert froyshov_h(inst.space, red) == 2
     except BaseException:
         _report(3, name, False)
         raise
@@ -159,7 +159,7 @@ def test_criterion_6_w_independence(sweep_instances):
                 other = redraw_cobordism(inst, wseed)
                 w = CobordismMap(other.w, other.w_label)
                 w_hat = reduced_induced(w, red)
-                values.add(h_of_x(w, w_hat, "cohomology"))
+                values.add(h_of_x(w, w_hat))
             assert values == {target}, (seed, values, target)
     except BaseException:
         _report(6, name, False)

@@ -13,14 +13,12 @@ from floersplit.froyshov import (
     ChainSpecial,
     SpecialPair,
     b_subspaces,
-    check_periodicity,
     delta_degree,
     delta_prime_degree,
     froyshov_h,
     induce_special,
     reduced,
     reduced_from_subspaces,
-    stabilization_indices,
     z_subspaces,
 )
 from floersplit.graded import CochainComplex, GradedMap, cohomology
@@ -286,7 +284,6 @@ def test_h_sigma_fixture():
     space = _sigma_like_space()
     red = reduced(space, _sigma_like_pair(space))
     assert froyshov_h(space, red) == 2
-    assert froyshov_h(space, red, "homology") == -2  # same data, swapped roles
 
 
 def test_h_both_zero_is_zero():
@@ -325,29 +322,3 @@ def test_h_can_be_half_integral_off_periodicity():
     pair = _pair(space, Case.DELTA_SIDE, deltas=[Matrix.zeros(1, 0), mat([[1]])], n_max=1)
     red = reduced(space, pair)
     assert froyshov_h(space, red) == Fraction(1, 2)
-
-
-# -- periodicity and stabilization ----------------------------------------------
-
-
-def test_periodicity_report():
-    space = _sigma_like_space()
-    red = reduced(space, _sigma_like_pair(space))
-    rep = check_periodicity(space, red)
-    assert rep.hf_periodic and rep.reduced_periodic
-
-    space2 = graded_space(1, 0, 0, 0, 0, 0, 0, 0)
-    red2 = reduced(space2, _pair(space2, Case.BOTH_ZERO))
-    rep2 = check_periodicity(space2, red2)
-    assert not rep2.hf_periodic
-
-
-def test_stabilization_indices():
-    space = _sigma_like_space()
-    rep = stabilization_indices(space, _sigma_like_pair(space))
-    assert rep.z0 == 3 and rep.z4 == 2  # the last member to cut each tower
-    assert rep.b1 is None and rep.b5 is None
-
-    pair = _pair(space, Case.BOTH_ZERO)
-    rep0 = stabilization_indices(space, pair)
-    assert rep0 == type(rep0)(None, None, None, None)

@@ -1,10 +1,14 @@
-"""Golden outputs: generated instances and CLI reports, byte for byte.
+"""Golden outputs: generated instances, relation reports and CLI reports,
+byte for byte.
 
-The digests were recorded before the tower walk, the Krylov loop and the
-cobordism-block solver were each merged into one code path, and they
-pin that those paths still consume the random stream in the same order
-and print the same reports.  A digest changes only when an output
-changes; a deliberate output change must re-record it and say why.
+The instance and report digests were recorded before the tower walk, the
+Krylov loop and the cobordism-block solver were each merged into one code
+path, and they pin that those paths still consume the random stream in
+the same order and print the same reports.  The relation-report digests
+were recorded before the two special families were merged into one
+relation loop, and pin its coefficients, violations and defects.  A
+digest changes only when an output changes; a deliberate output change
+must re-record it and say why.
 """
 
 from __future__ import annotations
@@ -15,8 +19,11 @@ import pathlib
 import pytest
 
 from floersplit.cli import main
+from floersplit.cobordism import CobordismMap, validate_relations
 from floersplit.gen import GenConfig, gen_instance
 from floersplit.serialize import dumps
+
+from helpers import perturb_w
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -56,6 +63,19 @@ REPORT_DIGESTS = {
         "3dfe0fa3600fad0dd772e637df2a105b7108be91a1dc672b1baeb315cc93f551",
 }
 
+# SHA-256 of the newline-joined validate_relations reports of the seeds'
+# instances, each with its own W and with perturb_w(W, pair, seed % 2)
+RELATION_DIGESTS = {
+    "default": (
+        {}, range(1, 41),
+        "dcea6cfdcf73687fd201b8195e23d4325bb1070166a78d5e7377a2c4e62c8597",
+    ),
+    "periodic": (
+        {"periodic": True}, range(1, 21),
+        "8db5d2dbbe1ab9744456c43ca00e7eb18b1f01f20353b55e66d4da8225482e66",
+    ),
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -73,3 +93,22 @@ def test_json_reports_are_golden(name, command, capsys):
     rc = main(["--format", "json", command, str(FIXTURES / f"{name}.json")])
     assert rc == 0
     assert _sha256(capsys.readouterr().out) == REPORT_DIGESTS[name, command]
+
+
+def _report_text(r) -> str:
+    violations = [(v.relation, v.n, v.degree, v.defect.entries) for v in r.violations]
+    return repr((
+        r.ok, sorted(r.a.items()), sorted(r.b.items()), violations,
+        r.a_integral, r.b_integral, r.nonunique_a, r.nonunique_b,
+    ))
+
+
+@pytest.mark.parametrize("mode", sorted(RELATION_DIGESTS))
+def test_relation_reports_are_golden(mode):
+    kwargs, seeds, digest = RELATION_DIGESTS[mode]
+    lines = []
+    for s in seeds:
+        inst = gen_instance(GenConfig(seed=s, **kwargs))
+        for w in (inst.w, perturb_w(inst.w, inst.pair, s % 2)):
+            lines.append(_report_text(validate_relations(CobordismMap(w), inst.pair)))
+    assert _sha256("\n".join(lines)) == digest

@@ -383,3 +383,33 @@ def test_cli_sweep_failure_dump(tmp_path, capsys, monkeypatch):
     assert dump.exists()
     replay = document_to_instance(json.loads(dump.read_text()))
     assert replay.metadata["seed"] == 2
+
+
+def test_cli_sweep_jobs_clamped_to_cores(monkeypatch, capsys):
+    import floersplit.cli as cli
+
+    seen = []
+
+    class FakePool:
+        """Records the requested worker count and runs the tasks inline."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert main(["sweep", "--seeds", "1..2", "--jobs", "4096"]) == 0
+    assert seen == [2]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: one core
+    assert main(["sweep", "--seeds", "1..2", "--jobs", "4096"]) == 0
+    assert seen == [2]  # no pool at all
+    assert capsys.readouterr().out.count("2/2 passed") == 2
