@@ -16,7 +16,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import catalog, serialize
 from .cobordism import (
@@ -258,6 +257,9 @@ def cmd_sweep(args) -> int:
     tasks = [(seed, kwargs) for seed in seeds]
     jobs = min(args.jobs, os.cpu_count() or 1)  # one worker process per core at most
     if jobs > 1:
+        # imported here: loading multiprocessing costs every other command memory
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_one, tasks, chunksize=16))
     else:

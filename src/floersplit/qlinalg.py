@@ -6,8 +6,9 @@ so all arithmetic is exact and every comparison downstream is an equality,
 never a tolerance.  Subspace bases are kept in column-reduced echelon form,
 which makes subspace equality plain representation equality.
 
-Matrices are dense; instance sizes in this engine are at most tens of
-dimensions per degree.
+Matrix storage is dense; instance sizes in this engine are at most tens
+of dimensions per degree.  Products skip zero factors, since most
+operands (chain maps, block-structured differentials) are mostly zero.
 """
 
 from __future__ import annotations
@@ -134,15 +135,18 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ot = other.transpose().entries
-        return Matrix(
-            self.rows,
-            other.cols,
-            tuple(
-                tuple(sum((a * b for a, b in zip(row, col)), Q(0)) for col in ot)
-                for row in self.entries
-            ),
-        )
+        # Most operands here are mostly zero: read the right operand's
+        # nonzeros once per row and skip every product with a zero factor.
+        nonzeros = [[(j, b) for j, b in enumerate(r) if b] for r in other.entries]
+        out = []
+        for row in self.entries:
+            acc = [Q(0)] * other.cols
+            for a, nz in zip(row, nonzeros):
+                if a:
+                    for j, b in nz:
+                        acc[j] += a * b
+            out.append(tuple(acc))
+        return Matrix(self.rows, other.cols, tuple(out))
 
     def transpose(self) -> "Matrix":
         return Matrix(

@@ -89,7 +89,11 @@ def _family_from_json(doc_special, h_doc: GradedSpace, convention: str, n_max: i
     """
     raws = []
     for fam in FAMILIES:
-        raw = doc_special.get(fam.key) or []
+        raw = doc_special.get(fam.key)
+        if raw is None:
+            raw = []
+        if not isinstance(raw, list):
+            raise ParseError(f"{fam.key} must be a list of matrices")
         if raw and len(raw) != n_max + 1:
             raise ParseError(f"{fam.key} must have n_max + 1 members or be empty")
         raws.append(raw)

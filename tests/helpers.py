@@ -19,6 +19,22 @@ def mat(rows, cols=None):
     return Matrix.from_rows(rows, cols=cols)
 
 
+def dense_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """Reference product: every entry is a full dot product of a row with a
+    column of the transpose, zero factors included."""
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    bt = b.transpose().entries
+    return Matrix(
+        a.rows,
+        b.cols,
+        tuple(
+            tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt)
+            for row in a.entries
+        ),
+    )
+
+
 def graded_space(*dims):
     return GradedSpace.of(dims)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +22,7 @@ from floersplit.qlinalg import (
     trace,
 )
 
-from helpers import mat
+from helpers import dense_matmul, mat
 
 
 # -- strategies ------------------------------------------------------
@@ -57,6 +59,66 @@ def test_constructors_refuse_floats_and_bools():
         with pytest.raises(TypeError):
             Matrix.identity(2).scale(bad)
     assert Matrix.from_rows([["1/3", 2]]).entry(0, 0).denominator == 3
+
+
+# -- products ----------------------------------------------------------
+
+# three in four entries zero, the rest small or with numerator and
+# denominator above 2**100
+above_2_100 = st.integers(2**100 + 1, 2**110)
+huge = st.builds(
+    lambda sign, p, q: Fraction(sign * p, q), st.sampled_from([1, -1]), above_2_100, above_2_100
+)
+sparse_scalars = st.tuples(
+    st.integers(0, 3), st.one_of(entries, huge)
+).map(lambda t: t[1] if t[0] == 0 else 0)
+
+
+def product_pairs(max_dim=5):
+    def pair(shape):
+        n, k, m = shape
+
+        def block(rows, cols):
+            return st.lists(
+                st.lists(sparse_scalars, min_size=cols, max_size=cols),
+                min_size=rows, max_size=rows,
+            ).map(lambda r: Matrix.from_rows(r, cols=cols))
+
+        return st.tuples(block(n, k), block(k, m))
+
+    return st.tuples(*[st.integers(0, max_dim)] * 3).flatmap(pair)
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_pairs())
+def test_matmul_equals_dense_reference(ab):
+    a, b = ab
+    got = a @ b
+    assert got == dense_matmul(a, b)
+    assert (got.rows, got.cols) == (a.rows, b.cols)
+    assert all(type(x) is Fraction for r in got.entries for x in r)
+
+
+def test_matmul_empty_shapes():
+    assert Matrix.zeros(0, 3) @ Matrix.identity(3) == Matrix.zeros(0, 3)
+    assert Matrix.identity(3) @ Matrix.zeros(3, 0) == Matrix.zeros(3, 0)
+    inner_empty = Matrix.zeros(3, 0) @ Matrix.zeros(0, 2)
+    assert inner_empty == Matrix.zeros(3, 2) == dense_matmul(Matrix.zeros(3, 0), Matrix.zeros(0, 2))
+    assert all(type(x) is Fraction and x == 0 for r in inner_empty.entries for x in r)
+
+
+def test_matmul_huge_entries():
+    big = Fraction(2**101 + 1, 2**103 - 1)
+    a = mat([[big, 0], [0, -big]])
+    b = mat([[big, 1], [0, big]])
+    assert a @ b == dense_matmul(a, b) == mat([[big * big, big], [0, -big * big]])
+
+
+def test_matmul_shape_mismatch():
+    with pytest.raises(ValueError):
+        Matrix.zeros(2, 3) @ Matrix.zeros(2, 3)
+    with pytest.raises(ValueError):
+        Matrix.zeros(0, 1) @ Matrix.zeros(0, 1)
 
 
 # -- rref --------------------------------------------------------------

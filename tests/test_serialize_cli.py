@@ -211,6 +211,17 @@ def test_cli_verify_parse_error(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "absent.json")]) == 3
 
 
+@pytest.mark.parametrize("family", ["deltas", "deltas_prime"])
+def test_cli_verify_non_list_family_is_parse_error(family, tmp_path, capsys):
+    doc = copy.deepcopy(catalog.get("sigma_2_7_13_mapping_torus").document)
+    doc["special"][family] = 5
+    path = tmp_path / "bad-family.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [f"error: {family} must be a list of matrices"]
+
+
 def test_cli_verify_identity_failure_exit_code(monkeypatch, capsys):
     import floersplit.cli as cli
 
@@ -386,6 +397,8 @@ def test_cli_sweep_failure_dump(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_sweep_jobs_clamped_to_cores(monkeypatch, capsys):
+    import concurrent.futures
+
     import floersplit.cli as cli
 
     seen = []
@@ -405,7 +418,7 @@ def test_cli_sweep_jobs_clamped_to_cores(monkeypatch, capsys):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     assert main(["sweep", "--seeds", "1..2", "--jobs", "4096"]) == 0
     assert seen == [2]
@@ -413,3 +426,19 @@ def test_cli_sweep_jobs_clamped_to_cores(monkeypatch, capsys):
     assert main(["sweep", "--seeds", "1..2", "--jobs", "4096"]) == 0
     assert seen == [2]  # no pool at all
     assert capsys.readouterr().out.count("2/2 passed") == 2
+
+
+def test_cli_import_does_not_load_process_pool():
+    import os
+    import subprocess
+    import sys
+
+    import floersplit
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(floersplit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import floersplit.cli, sys; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert out.stdout.strip() == "False"
