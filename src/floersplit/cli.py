@@ -25,6 +25,7 @@ from .cobordism import (
     trace_case2,
     trace_refinement,
     trace_towers,
+    validate_instance,
     verify_splitting,
 )
 from .errors import (
@@ -183,6 +184,7 @@ def _print_trace(tr: CaseTrace, name: str, fmt: str, tower: int | None) -> None:
 
 def cmd_trace(args) -> int:
     instance = _view(_load_target(args.target), args.convention)
+    validate_instance(instance)  # loading only parses; the towers replay validated data only
     try:
         if args.tower in (0, 4):
             tr = trace_case1(instance)
@@ -200,9 +202,12 @@ def cmd_trace(args) -> int:
 def _parse_seeds(text: str) -> range:
     try:
         lo, hi = text.split("..")
-        return range(int(lo), int(hi) + 1)
+        seeds = range(int(lo), int(hi) + 1)
     except ValueError:
         raise ParseError(f"bad seed range {text!r}, expected A..B") from None
+    if not seeds:
+        raise ParseError(f"empty seed range {text!r}, expected A..B with A <= B")
+    return seeds
 
 
 def _parse_case_mix(text: str) -> tuple[float, float, float]:

@@ -9,7 +9,9 @@ Both families run through one relation loop on columns: delta_n o W =
 delta_n + sum a_{i,n} delta_i is the transpose of W o delta'_n = delta'_n +
 sum b_{i,n} delta'_i, so a functional is checked as its transposed
 column against the transposed block.  ``validate_instance`` is the one
-validation prefix shared by loading and verifying.  Every invariant is
+validation prefix: loading a document only parses it, and
+``verify_splitting`` and ``floersplit trace`` each validate once before
+using an instance.  Every invariant is
 computed in the internal cohomology convention; the declared convention
 is applied only to the reported numbers.
 

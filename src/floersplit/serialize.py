@@ -1,21 +1,25 @@
-"""Versioned JSON instance documents: parsing, validation, export.
+"""Versioned JSON instance documents: parsing, export.
 
 Documents carry their grading convention; everything degree-indexed in a
 homology-convention document is relabeled on load (degree q to 5 - q mod
 8, through ``instance.relabel``) so the engine always works in the
 cohomology convention, and written back out the same way so the user's
-numbers round-trip bit-exactly.  Rational entries are integers or "p/q"
-strings, never floats.  Loading ends in ``validate_instance``, the same
-validation prefix that ``verify_splitting`` runs.
+numbers round-trip bit-exactly.  Rational entries are JSON integers or
+strings matching ``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator, never
+floats.  Loading parses, regrades and checks shapes only; the relations
+and the reduced theory are validated once, where the instance is used:
+``verify_splitting``, ``floersplit trace`` and ``validate_instance``
+(re-exported here) each run that validation prefix.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
-from .cobordism import validate_instance
+from .cobordism import validate_instance  # noqa: F401  re-exported
 from .errors import ParseError
 from .froyshov import FAMILIES, Case, ChainSpecial, SpecialPair, induce_special
 from .graded import CochainComplex, GradedMap, GradedSpace, cohomology, induced_map
@@ -23,6 +27,8 @@ from .instance import COHOMOLOGY, HOMOLOGY, Instance, LEVEL_CHAIN, LEVEL_COHOMOL
 from .qlinalg import Matrix
 
 SCHEMA_VERSION = "1"
+
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def _doc_degree(q_internal: int, convention: str) -> int:
@@ -40,6 +46,8 @@ def rational_from_json(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
+        if not _RATIONAL.fullmatch(v):
+            raise ParseError(f"bad rational string {v!r}, expected an integer or 'p/q'")
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as e:
@@ -109,7 +117,11 @@ def _family_from_json(doc_special, h_doc: GradedSpace, convention: str, n_max: i
 
 
 def document_to_instance(doc: Any) -> Instance:
-    """Parse, regrade to the internal convention, and fully validate."""
+    """Parse, regrade to the internal convention, and check shapes.
+
+    The relations and the reduced theory are not validated here; the
+    consumer runs ``validate_instance`` (``verify_splitting`` does).
+    """
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -172,12 +184,10 @@ def document_to_instance(doc: Any) -> Instance:
         pair = induce_special(cs, coh, n_max)
         space, w = coh.h_space, induced_map(w_chain, coh, coh)
         chain = {"complex": cx, "chain_special": cs, "chain_w": w_chain}
-    inst = Instance(
+    return Instance(
         space=space, pair=pair, w=w, w_label=label,
         convention=convention, level=level, metadata=metadata, **chain,
     )
-    validate_instance(inst)
-    return inst
 
 
 def instance_to_document(instance: Instance) -> dict:
@@ -226,6 +236,8 @@ def load(path: str) -> Instance:
             doc = json.load(f)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+    except ValueError as e:  # an integer past the interpreter's digit limit, or not UTF-8
+        raise ParseError(f"{path}: invalid JSON: {e}") from e
     return document_to_instance(doc)
 
 

@@ -11,9 +11,10 @@ import pytest
 
 from floersplit import catalog
 from floersplit.cli import main
-from floersplit.errors import DichotomyViolation, ParseError, UnknownEntry
+from floersplit.cobordism import verify_splitting
+from floersplit.errors import DichotomyViolation, ParseError, RelationViolation, UnknownEntry
 from floersplit.gen import GenConfig, gen_chain_instance, gen_instance
-from floersplit.instance import HOMOLOGY
+from floersplit.instance import HOMOLOGY, Instance
 from floersplit.serialize import (
     document_to_instance,
     dumps,
@@ -33,6 +34,8 @@ def test_rational_json_round_trip():
         assert rational_from_json(rational_to_json(x)) == x
     assert rational_to_json(Fraction(4)) == 4
     assert rational_to_json(Fraction(1, 2)) == "1/2"
+    assert rational_from_json("-10") == -10
+    assert rational_from_json("007/14") == Fraction(1, 2)
 
 
 def test_rational_json_rejects_floats_and_bools():
@@ -42,6 +45,18 @@ def test_rational_json_rejects_floats_and_bools():
         rational_from_json(True)
     with pytest.raises(ParseError):
         rational_from_json("not-a-number")
+
+
+@pytest.mark.parametrize(
+    "text", [" 1_0 ", "1_0", "1.5", "1e3", "1/0", "+1", "\u0661", "1/2\n"]
+)
+def test_rational_json_refuses_strings_outside_the_grammar(text):
+    with pytest.raises(ParseError):
+        rational_from_json(text)
+    doc = copy.deepcopy(catalog.get("akbulut_cork_mapping_torus").document)
+    doc["cobordism"]["blocks"][1][0][0] = text
+    with pytest.raises(ParseError):
+        document_to_instance(doc)
 
 
 # -- documents ------------------------------------------------------------
@@ -94,6 +109,27 @@ def test_parse_error_on_truncated_file(tmp_path):
     path.write_text(dumps(catalog.load_entry("akbulut_cork_mapping_torus"))[:40])
     with pytest.raises(ParseError):
         load(str(path))
+
+
+def _huge_integer_document() -> bytes:
+    doc = copy.deepcopy(catalog.get("akbulut_cork_mapping_torus").document)
+    doc["cobordism"]["blocks"][1][0][0] = "HUGE"
+    # json.dumps cannot write the integer either, so splice it in as text
+    return json.dumps(doc).replace('"HUGE"', "7" * 5000).encode()
+
+
+@pytest.mark.parametrize(
+    "payload", [_huge_integer_document(), b"\xff\xfe{}"], ids=["5000-digit-int", "not-utf8"]
+)
+def test_parse_error_on_undecodable_document(payload, tmp_path, capsys):
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(payload)
+    with pytest.raises(ParseError):
+        load(str(path))
+    assert main(["verify", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_parse_error_on_bad_shape():
@@ -180,27 +216,68 @@ def test_cli_convention_view(capsys):
     assert out["verdict"]["h_x"] == 2    # invariants do not
 
 
-def test_cli_verify_validation_error(tmp_path, capsys):
-    # the degree-zero relation fails: the map doubles the functional
-    doc = {
-        "schema_version": "1",
-        "level": "cohomology-level",
-        "convention": "cohomology",
-        "metadata": {"name": "bad-relation"},
-        "spaces": {"hf": [0, 0, 0, 0, 1, 0, 0, 0]},
-        "special": {
-            "case": "delta_side",
-            "n_max": 1,
-            "deltas": [[[1]], [[]]],
-            "deltas_prime": [],
-        },
-        "cobordism": {"label": "W", "blocks": [[], [], [], [], [[2]], [], [], []]},
-    }
+# the degree-zero relation fails: the map doubles the functional
+BAD_RELATION_DOC = {
+    "schema_version": "1",
+    "level": "cohomology-level",
+    "convention": "cohomology",
+    "metadata": {"name": "bad-relation"},
+    "spaces": {"hf": [0, 0, 0, 0, 1, 0, 0, 0]},
+    "special": {
+        "case": "delta_side",
+        "n_max": 1,
+        "deltas": [[[1]], [[]]],
+        "deltas_prime": [],
+    },
+    "cobordism": {"label": "W", "blocks": [[], [], [], [], [[2]], [], [], []]},
+}
+
+
+@pytest.fixture
+def bad_relation_file(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    rc = main(["verify", str(path)])
+    path.write_text(json.dumps(BAD_RELATION_DOC))
+    return str(path)
+
+
+def test_cli_verify_validation_error(bad_relation_file, capsys):
+    rc = main(["verify", bad_relation_file])
     assert rc == 2
     assert "validation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tower", [[], ["--tower", "0"]])
+def test_cli_trace_validation_error(bad_relation_file, tower, capsys):
+    rc = main(["trace", bad_relation_file, *tower])
+    assert rc == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "validation error: RelationViolation: degree-zero delta relation fails at degree 4"
+    ]
+
+
+def test_load_parses_and_verify_validates(bad_relation_file):
+    inst = load(bad_relation_file)
+    assert isinstance(inst, Instance)
+    with pytest.raises(RelationViolation):  # a ValidationError, exit 2 in the CLI
+        verify_splitting(inst)
+
+
+@pytest.mark.parametrize("target", ["file", "catalog:sigma_2_7_13_mapping_torus"])
+def test_cli_verify_validates_once(target, tmp_path, monkeypatch, capsys):
+    import floersplit.cobordism as cobordism
+
+    if target == "file":
+        target = str(tmp_path / "sigma.json")
+        export(catalog.load_entry("sigma_2_7_13_mapping_torus"), target)
+    real, calls = cobordism.reduced, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cobordism, "reduced", counted)
+    assert main(["verify", target]) == 0
+    assert len(calls) == 1
 
 
 def test_cli_verify_parse_error(tmp_path, capsys):
@@ -298,6 +375,16 @@ def test_cli_sweep_json_and_jobs(capsys):
 
 def test_cli_sweep_bad_range(capsys):
     assert main(["sweep", "--seeds", "nope"]) == 3
+
+
+@pytest.mark.parametrize("seeds", ["5..1", "2..1"])
+def test_cli_sweep_empty_range_is_parse_error(seeds, capsys):
+    assert main(["sweep", "--seeds", seeds]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        f"error: empty seed range {seeds!r}, expected A..B with A <= B"
+    ]
 
 
 def test_cli_sweep_empty_instances(capsys):
