@@ -199,6 +199,10 @@ def cmd_trace(args) -> int:
     return EXIT_PASS
 
 
+# Most seeds one sweep takes; its task list and results are held in memory.
+MAX_SWEEP_SEEDS = 10**6
+
+
 def _parse_seeds(text: str) -> range:
     try:
         lo, hi = text.split("..")
@@ -207,6 +211,9 @@ def _parse_seeds(text: str) -> range:
         raise ParseError(f"bad seed range {text!r}, expected A..B") from None
     if not seeds:
         raise ParseError(f"empty seed range {text!r}, expected A..B with A <= B")
+    # stop - start, not len(): len() overflows past sys.maxsize seeds
+    if seeds.stop - seeds.start > MAX_SWEEP_SEEDS:
+        raise ParseError(f"seed range {text!r} has more than {MAX_SWEEP_SEEDS} seeds")
     return seeds
 
 

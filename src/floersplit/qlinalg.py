@@ -7,8 +7,9 @@ never a tolerance.  Subspace bases are kept in column-reduced echelon form,
 which makes subspace equality plain representation equality.
 
 Matrix storage is dense; instance sizes in this engine are at most tens
-of dimensions per degree.  Products skip zero factors, since most
-operands (chain maps, block-structured differentials) are mostly zero.
+of dimensions per degree.  Products skip zero factors and elimination
+skips zero entries of the pivot row, since most operands (chain maps,
+block-structured differentials, kernel bases) are mostly zero.
 """
 
 from __future__ import annotations
@@ -187,21 +188,31 @@ class RrefResult(NamedTuple):
 
 
 def rref(m: Matrix) -> RrefResult:
-    """Unique reduced row echelon form with pivot columns and rank."""
+    """Unique reduced row echelon form with pivot columns and rank.
+
+    Row operations touch only the pivot row's nonzeros, which all lie at
+    or after the pivot column; the result is still the one canonical
+    RREF, so subspaces built from it stay equal exactly when their
+    representations are.
+    """
     a = [list(r) for r in m.entries]
     pivots: list[int] = []
     pr = 0
     for pc in range(m.cols):
-        piv = next((i for i in range(pr, m.rows) if a[i][pc] != 0), None)
+        piv = next((i for i in range(pr, m.rows) if a[i][pc]), None)
         if piv is None:
             continue
         a[pr], a[piv] = a[piv], a[pr]
-        inv = 1 / a[pr][pc]
-        a[pr] = [x * inv for x in a[pr]]
-        for i in range(m.rows):
-            if i != pr and a[i][pc] != 0:
-                f = a[i][pc]
-                a[i] = [x - f * y for x, y in zip(a[i], a[pr])]
+        row = a[pr]
+        inv = 1 / row[pc]
+        nonzeros = [(j, x * inv) for j in range(pc, m.cols) if (x := row[j])]
+        for j, x in nonzeros:
+            row[j] = x
+        for i, other in enumerate(a):
+            f = other[pc]
+            if f and i != pr:
+                for j, y in nonzeros:
+                    other[j] -= f * y
         pivots.append(pc)
         pr += 1
         if pr == m.rows:
@@ -251,10 +262,7 @@ class Subspace:
         """Canonical subspace spanned by the columns of ``vectors``."""
         if vectors.rows != ambient_dim:
             raise ValueError("span: ambient dimension mismatch")
-        red = rref(vectors.transpose())
-        rows = [red.echelon.entries[i] for i in range(red.rank)]
-        basis = Matrix(len(rows), ambient_dim, tuple(rows)).transpose()
-        return Subspace(ambient_dim, basis)
+        return _row_span(vectors.transpose())
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -298,20 +306,26 @@ class Subspace:
         return x
 
 
+def _row_span(vectors: Matrix) -> Subspace:
+    """Canonical subspace spanned by the rows of ``vectors``."""
+    ech, _, rank = rref(vectors)
+    return Subspace(vectors.cols, Matrix(rank, vectors.cols, ech.entries[:rank]).transpose())
+
+
 def kernel_basis(m: Matrix) -> Subspace:
     """Canonical basis of {v : m v = 0}; dimension is cols - rank."""
-    ech, pivots, rank = rref(m)
+    ech, pivots, _ = rref(m)
     free = [j for j in range(m.cols) if j not in pivots]
-    cols = []
+    if not free:
+        return Subspace.zero(m.cols)
+    rows = []
     for f in free:
         v = [Q(0)] * m.cols
         v[f] = Q(1)
         for r, pc in enumerate(pivots):
             v[pc] = -ech.entries[r][f]
-        cols.append(v)
-    if not cols:
-        return Subspace.zero(m.cols)
-    return Subspace.span(m.cols, Matrix.from_columns(cols, rows=m.cols))
+        rows.append(tuple(v))
+    return _row_span(Matrix(len(free), m.cols, tuple(rows)))
 
 
 def image_basis(m: Matrix) -> Subspace:

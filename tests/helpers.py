@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from floersplit.graded import CochainComplex, GradedMap, GradedSpace
-from floersplit.qlinalg import Matrix, kernel_basis, rref
+from floersplit.qlinalg import Matrix, RrefResult, Subspace, kernel_basis, rref
 
 
 def mat(rows, cols=None):
@@ -33,6 +33,50 @@ def dense_matmul(a: Matrix, b: Matrix) -> Matrix:
             for row in a.entries
         ),
     )
+
+
+def dense_rref(m: Matrix) -> RrefResult:
+    """Reference Gauss-Jordan elimination: every row operation runs over
+    the whole row, zero entries included."""
+    a = [list(r) for r in m.entries]
+    pivots: list[int] = []
+    pr = 0
+    for pc in range(m.cols):
+        piv = next((i for i in range(pr, m.rows) if a[i][pc] != 0), None)
+        if piv is None:
+            continue
+        a[pr], a[piv] = a[piv], a[pr]
+        inv = 1 / a[pr][pc]
+        a[pr] = [x * inv for x in a[pr]]
+        for i in range(m.rows):
+            if i != pr and a[i][pc] != 0:
+                f = a[i][pc]
+                a[i] = [x - f * y for x, y in zip(a[i], a[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == m.rows:
+            break
+    ech = Matrix(m.rows, m.cols, tuple(tuple(r) for r in a))
+    return RrefResult(ech, tuple(pivots), len(pivots))
+
+
+def dense_kernel_basis(m: Matrix) -> Subspace:
+    """Reference kernel: one column per free variable read off
+    ``dense_rref``, gathered with ``Matrix.from_columns`` and made
+    canonical by ``dense_rref`` of the transpose."""
+    ech, pivots, _ = dense_rref(m)
+    cols = []
+    for f in (j for j in range(m.cols) if j not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -ech.entries[r][f]
+        cols.append(v)
+    if not cols:
+        return Subspace.zero(m.cols)
+    red = dense_rref(Matrix.from_columns(cols, rows=m.cols).transpose())
+    rows = red.echelon.entries[: red.rank]
+    return Subspace(m.cols, Matrix(red.rank, m.cols, rows).transpose())
 
 
 def graded_space(*dims):

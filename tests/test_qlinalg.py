@@ -22,7 +22,7 @@ from floersplit.qlinalg import (
     trace,
 )
 
-from helpers import dense_matmul, mat
+from helpers import dense_kernel_basis, dense_matmul, dense_rref, mat
 
 
 # -- strategies ------------------------------------------------------
@@ -74,19 +74,19 @@ sparse_scalars = st.tuples(
 ).map(lambda t: t[1] if t[0] == 0 else 0)
 
 
+def sparse_block(rows, cols):
+    return st.lists(
+        st.lists(sparse_scalars, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(lambda r: Matrix.from_rows(r, cols=cols))
+
+
+def sparse_pair(shape):
+    n, k, m = shape
+    return st.tuples(sparse_block(n, k), sparse_block(k, m))
+
+
 def product_pairs(max_dim=5):
-    def pair(shape):
-        n, k, m = shape
-
-        def block(rows, cols):
-            return st.lists(
-                st.lists(sparse_scalars, min_size=cols, max_size=cols),
-                min_size=rows, max_size=rows,
-            ).map(lambda r: Matrix.from_rows(r, cols=cols))
-
-        return st.tuples(block(n, k), block(k, m))
-
-    return st.tuples(*[st.integers(0, max_dim)] * 3).flatmap(pair)
+    return st.tuples(*[st.integers(0, max_dim)] * 3).flatmap(sparse_pair)
 
 
 @settings(max_examples=150, deadline=None)
@@ -145,6 +145,57 @@ def test_rref_idempotent_and_shape(m):
     ech, pivots, rank = rref(m)
     assert rref(ech).echelon == ech
     assert rank == len(pivots) <= min(m.rows, m.cols)
+
+
+def sparse_matrices(max_rows=6, max_cols=7):
+    """Mostly-zero matrices of every shape, 0 x n and n x 0 included."""
+    return st.tuples(st.integers(0, max_rows), st.integers(0, max_cols)).flatmap(
+        lambda shape: sparse_block(*shape)
+    )
+
+
+def rank_deficient(max_dim=6):
+    """A product through an inner dimension of at most 2 with its first
+    row repeated, so the rank falls short of both outer dimensions."""
+    def repeat_first_row(ab):
+        p = ab[0] @ ab[1]
+        return p.vstack(Matrix(1, p.cols, p.entries[:1]))
+
+    return st.tuples(
+        st.integers(3, max_dim), st.integers(0, 2), st.integers(3, max_dim)
+    ).flatmap(sparse_pair).map(repeat_first_row)
+
+
+def _assert_matches_dense_rref(m):
+    got, want = rref(m), dense_rref(m)
+    assert got.echelon == want.echelon
+    assert got.pivots == want.pivots and got.rank == want.rank
+    assert (got.echelon.rows, got.echelon.cols) == (m.rows, m.cols)
+    assert all(type(x) is Fraction for r in got.echelon.entries for x in r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(sparse_matrices(), rank_deficient()))
+def test_rref_equals_dense_reference(m):
+    _assert_matches_dense_rref(m)
+
+
+def test_rref_empty_and_rank_deficient_shapes():
+    big = Fraction(2**101 + 1, 2**103 - 1)
+    for m in (
+        Matrix.zeros(0, 4), Matrix.zeros(4, 0), Matrix.zeros(0, 0), Matrix.zeros(3, 5),
+        mat([[0, big, 0, 1], [0, 2 * big, 0, 2], [0, 0, 0, 0]]),
+        mat([[0, 0, Fraction(1, 3)], [big, 0, 0], [big, 0, Fraction(2, 3)]]),
+    ):
+        _assert_matches_dense_rref(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(sparse_matrices(), rank_deficient()))
+def test_kernel_equals_dense_reference(m):
+    got = kernel_basis(m)
+    assert got == dense_kernel_basis(m)
+    assert all(type(x) is Fraction for r in got.basis.entries for x in r)
 
 
 # -- kernel / image ----------------------------------------------------

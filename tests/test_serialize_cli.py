@@ -387,6 +387,30 @@ def test_cli_sweep_empty_range_is_parse_error(seeds, capsys):
     ]
 
 
+def test_cli_sweep_seed_range_is_capped(monkeypatch, capsys):
+    import tracemalloc
+
+    from floersplit import cli
+
+    def never(task):
+        raise AssertionError("a seed ran past the cap")
+
+    monkeypatch.setattr(cli, "_sweep_one", never)
+    tracemalloc.start()
+    try:
+        for seeds in (f"1..{cli.MAX_SWEEP_SEEDS + 1}", "1..1000000000000", f"0..{10**30}"):
+            assert main(["sweep", "--seeds", seeds, "--jobs", "1"]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.strip().splitlines() == [
+                f"error: seed range {seeds!r} has more than {cli.MAX_SWEEP_SEEDS} seeds"
+            ]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # no task list was built
+
+
 def test_cli_sweep_empty_instances(capsys):
     rc = main(["sweep", "--seeds", "1..1", "--max-dim", "0"])
     out = capsys.readouterr().out
