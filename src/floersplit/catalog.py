@@ -1,25 +1,26 @@
 """Built-in instance documents with their expected invariant values.
 
-The two mapping-torus entries carry literature values for their Floer
-ranks, Lefschetz numbers and invariants; where the literature fixes only
-ranks and the invariant, the functional tower is a synthetic realization,
-tagged "derived", chosen to reproduce the known reduced ranks.  Expected
-values are tagged with their provenance: "published" (literature value
-for the named object), "derived" (forced by construction or arithmetic),
-or "trivial" (definitional).
+The documents are the committed ``fixtures/NAME.json`` files, shipped in
+the package as ``floersplit/fixtures`` and read on each lookup; only the
+expected values live here.  The two mapping-torus entries carry
+literature values for their Floer ranks, Lefschetz numbers and
+invariants; where the literature fixes only ranks and the invariant, the
+functional tower is a synthetic realization, tagged "derived", chosen to
+reproduce the known reduced ranks.  Expected values are tagged with
+their provenance: "published" (literature value for the named object),
+"derived" (forced by construction or arithmetic), or "trivial"
+(definitional).
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from importlib.resources import files
 
 from .errors import UnknownEntry
 from .instance import Instance
 from .serialize import document_to_instance
-
-
-def _id_block(n: int, sign: int = 1) -> list:
-    return [[sign if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def _expected(value, provenance: str, note: str = "") -> dict:
@@ -39,164 +40,50 @@ class CatalogEntry:
         return document_to_instance(self.document)
 
 
-_SIGMA_DOC = {
-    "schema_version": "1",
-    "level": "cohomology-level",
-    "convention": "homology",
-    "metadata": {
-        "name": "sigma_2_7_13_mapping_torus",
-        "description": (
-            "Mapping torus of the complex-conjugation involution on the Brieskorn "
-            "sphere Sigma(2,7,13), oriented as the link of the singularity.  The "
-            "involution acts on Floer homology as +1 in degrees 1 mod 4 and -1 in "
-            "degrees 3 mod 4."
-        ),
-        "notes": (
-            "Floer ranks (0,4,0,2,0,4,0,2), reduced ranks (0,2,0,2,0,2,0,2) and the "
-            "invariant value 2 are literature values.  The functional tower members "
-            "are a synthetic realization: two independent functionals on each of the "
-            "rank-4 degrees give the codimension-2 kernels those reduced ranks "
-            "require, and the map is the identity on the degrees carrying the tower, "
-            "so the relations hold with zero correction coefficients."
-        ),
+# Entry name -> expected values; the key order is the listing order.
+_EXPECTED = {
+    "sigma_2_7_13_mapping_torus": {
+        "lef_w": _expected(-4, "published"),
+        "lef_w_hat": _expected(0, "published"),
+        "lambda_fo": _expected(-2, "published", "equals -b_1 + b_3 for these ranks"),
+        "h_x": _expected(2, "published"),
+        "h_y": _expected(2, "published"),
+        "chi_hf": _expected(-12, "derived", "alternating sum of the literature ranks"),
+        "chi_hf_red": _expected(-8, "derived", "alternating sum of the literature reduced ranks"),
+        "reduced_dims": _expected([0, 2, 0, 2, 0, 2, 0, 2], "published"),
+        "deltas": _expected(None, "derived", "synthetic tower consistent with the reduced ranks"),
     },
-    "spaces": {"hf": [0, 4, 0, 2, 0, 4, 0, 2]},
-    "special": {
-        "case": "delta_side",
-        "n_max": 3,
-        "deltas": [
-            [[1, 0, 0, 0]],
-            [[1, 0, 0, 0]],
-            [[0, 1, 0, 0]],
-            [[0, 1, 0, 0]],
-        ],
-        "deltas_prime": [],
+    "akbulut_cork_mapping_torus": {
+        "lambda_fo": _expected(2, "published"),
+        "h_x": _expected(0, "published"),
+        "h_y": _expected(0, "published", "the boundary is homology cobordant to zero"),
+        "lef_w": _expected(4, "derived", "forced by lambda = Lef/2; equals the alternating trace of -Id on four odd degrees"),
+        "lef_w_hat": _expected(4, "derived", "reduced equals unreduced here"),
+        "reduced_dims": _expected([0, 1, 0, 1, 0, 1, 0, 1], "published"),
     },
-    "cobordism": {
-        "label": "tau",
-        "blocks": [
-            [], _id_block(4), [], _id_block(2, -1),
-            [], _id_block(4), [], _id_block(2, -1),
-        ],
+    "product_cobordism_demo": {
+        "lef_w": _expected(-12, "trivial", "Lefschetz number of the identity is the Euler characteristic"),
+        "lef_w_hat": _expected(-8, "trivial"),
+        "lambda_fo": _expected(-6, "derived", "half the Euler characteristic"),
+        "h_x": _expected(2, "derived", "reduces to the Euler characteristic formula"),
+        "h_y": _expected(2, "published"),
     },
-}
-
-_SIGMA_EXPECTED = {
-    "lef_w": _expected(-4, "published"),
-    "lef_w_hat": _expected(0, "published"),
-    "lambda_fo": _expected(-2, "published", "equals -b_1 + b_3 for these ranks"),
-    "h_x": _expected(2, "published"),
-    "h_y": _expected(2, "published"),
-    "chi_hf": _expected(-12, "derived", "alternating sum of the literature ranks"),
-    "chi_hf_red": _expected(-8, "derived", "alternating sum of the literature reduced ranks"),
-    "reduced_dims": _expected([0, 2, 0, 2, 0, 2, 0, 2], "published"),
-    "deltas": _expected(None, "derived", "synthetic tower consistent with the reduced ranks"),
-}
-
-_CORK_DOC = {
-    "schema_version": "1",
-    "level": "cohomology-level",
-    "convention": "homology",
-    "metadata": {
-        "name": "akbulut_cork_mapping_torus",
-        "description": (
-            "Mapping torus of the boundary involution of the Akbulut cork.  The "
-            "boundary is a homology sphere with Floer homology of rank one in each "
-            "odd degree; the involution acts as minus the identity."
-        ),
-        "notes": (
-            "The boundary is homology cobordant to zero, so its invariant vanishes "
-            "and the reduced theory equals the unreduced one; both special families "
-            "vanish."
-        ),
-    },
-    "spaces": {"hf": [0, 1, 0, 1, 0, 1, 0, 1]},
-    "special": {"case": "both_zero", "n_max": 1, "deltas": [], "deltas_prime": []},
-    "cobordism": {
-        "label": "tau",
-        "blocks": [
-            [], _id_block(1, -1), [], _id_block(1, -1),
-            [], _id_block(1, -1), [], _id_block(1, -1),
-        ],
-    },
-}
-
-_CORK_EXPECTED = {
-    "lambda_fo": _expected(2, "published"),
-    "h_x": _expected(0, "published"),
-    "h_y": _expected(0, "published", "the boundary is homology cobordant to zero"),
-    "lef_w": _expected(4, "derived", "forced by lambda = Lef/2; equals the alternating trace of -Id on four odd degrees"),
-    "lef_w_hat": _expected(4, "derived", "reduced equals unreduced here"),
-    "reduced_dims": _expected([0, 1, 0, 1, 0, 1, 0, 1], "published"),
-}
-
-_PRODUCT_DOC = {
-    "schema_version": "1",
-    "level": "cohomology-level",
-    "convention": "homology",
-    "metadata": {
-        "name": "product_cobordism_demo",
-        "description": (
-            "Product cobordism over the Sigma(2,7,13) data: the induced maps are "
-            "identities, so the Lefschetz numbers degenerate to Euler "
-            "characteristics and the half-difference formula reduces to the Euler "
-            "characteristic formula for the invariant."
-        ),
-    },
-    "spaces": {"hf": [0, 4, 0, 2, 0, 4, 0, 2]},
-    "special": {
-        "case": "delta_side",
-        "n_max": 3,
-        "deltas": [
-            [[1, 0, 0, 0]],
-            [[1, 0, 0, 0]],
-            [[0, 1, 0, 0]],
-            [[0, 1, 0, 0]],
-        ],
-        "deltas_prime": [],
-    },
-    "cobordism": {
-        "label": "product",
-        "blocks": [
-            [], _id_block(4), [], _id_block(2),
-            [], _id_block(4), [], _id_block(2),
-        ],
-    },
-}
-
-_PRODUCT_EXPECTED = {
-    "lef_w": _expected(-12, "trivial", "Lefschetz number of the identity is the Euler characteristic"),
-    "lef_w_hat": _expected(-8, "trivial"),
-    "lambda_fo": _expected(-6, "derived", "half the Euler characteristic"),
-    "h_x": _expected(2, "derived", "reduces to the Euler characteristic formula"),
-    "h_y": _expected(2, "published"),
-}
-
-_ENTRIES = {
-    "sigma_2_7_13_mapping_torus": CatalogEntry(
-        "sigma_2_7_13_mapping_torus", _SIGMA_DOC, _SIGMA_EXPECTED
-    ),
-    "akbulut_cork_mapping_torus": CatalogEntry(
-        "akbulut_cork_mapping_torus", _CORK_DOC, _CORK_EXPECTED
-    ),
-    "product_cobordism_demo": CatalogEntry(
-        "product_cobordism_demo", _PRODUCT_DOC, _PRODUCT_EXPECTED
-    ),
 }
 
 
 def names() -> list[str]:
-    return list(_ENTRIES)
+    return list(_EXPECTED)
 
 
 def get(name: str) -> CatalogEntry:
     """Exact name, or a unique prefix of one."""
-    if name in _ENTRIES:
-        return _ENTRIES[name]
-    matches = [k for k in _ENTRIES if k.startswith(name)]
-    if len(matches) == 1:
-        return _ENTRIES[matches[0]]
-    raise UnknownEntry(f"no catalog entry named {name!r}; have {', '.join(_ENTRIES)}")
+    if name not in _EXPECTED:
+        matches = [k for k in _EXPECTED if k.startswith(name)]
+        if len(matches) != 1:
+            raise UnknownEntry(f"no catalog entry named {name!r}; have {', '.join(_EXPECTED)}")
+        name = matches[0]
+    text = (files("floersplit") / "fixtures" / f"{name}.json").read_text(encoding="utf-8")
+    return CatalogEntry(name, json.loads(text), _EXPECTED[name])
 
 
 def load_entry(name: str) -> Instance:

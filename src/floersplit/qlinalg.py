@@ -62,15 +62,6 @@ class Matrix:
         return Matrix(len(data), cols, data)
 
     @staticmethod
-    def from_columns(columns: Sequence[Sequence], rows: int | None = None) -> "Matrix":
-        if rows is None:
-            rows = len(columns[0]) if columns else 0
-        return Matrix.from_rows(
-            [[columns[j][i] for j in range(len(columns))] for i in range(rows)],
-            cols=len(columns),
-        )
-
-    @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
         return Matrix(rows, cols, tuple(tuple(Q(0) for _ in range(cols)) for _ in range(rows)))
 
@@ -91,14 +82,8 @@ class Matrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
     def col(self, j: int) -> tuple[Fraction, ...]:
         return tuple(r[j] for r in self.entries)
-
-    def columns(self) -> list[tuple[Fraction, ...]]:
-        return [self.col(j) for j in range(self.cols)]
 
     @property
     def is_zero(self) -> bool:
@@ -282,9 +267,6 @@ class Subspace:
             col = self.basis.col(j)
             out.append(next(i for i, x in enumerate(col) if x != 0))
         return tuple(out)
-
-    def contains_vector(self, vec: Sequence) -> bool:
-        return solve(self.basis, Matrix.column(list(vec))) is not None
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:

@@ -145,6 +145,9 @@ def document_to_instance(doc: Any) -> Instance:
 
     if level == LEVEL_COHOMOLOGY:
         h_doc = _dims_from_json(spaces.get("hf"), "spaces.hf")
+        # the blocks first: every dimension the families are built at is
+        # then backed by a block the document lists
+        w_doc = _graded_map_from_json(cob["blocks"], h_doc, 0, "cobordism.blocks")
         special = doc.get("special")
         if not isinstance(special, dict):
             raise ParseError("special section is required")
@@ -157,7 +160,6 @@ def document_to_instance(doc: Any) -> Instance:
         except ValueError:
             raise ParseError(f"unknown case {case_str!r}") from None
         deltas, primes = _family_from_json(special, h_doc, convention, n_max)
-        w_doc = _graded_map_from_json(cob["blocks"], h_doc, 0, "cobordism.blocks")
         pair, chain = SpecialPair(n_max, deltas, primes, case), {}
         space, w = relabel(h_doc, convention), relabel(w_doc, convention)
     else:

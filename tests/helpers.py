@@ -61,9 +61,9 @@ def dense_rref(m: Matrix) -> RrefResult:
 
 
 def dense_kernel_basis(m: Matrix) -> Subspace:
-    """Reference kernel: one column per free variable read off
-    ``dense_rref``, gathered with ``Matrix.from_columns`` and made
-    canonical by ``dense_rref`` of the transpose."""
+    """Reference kernel: one vector per free variable read off
+    ``dense_rref``, stacked as rows and made canonical by ``dense_rref``
+    of that stack."""
     ech, pivots, _ = dense_rref(m)
     cols = []
     for f in (j for j in range(m.cols) if j not in pivots):
@@ -74,7 +74,7 @@ def dense_kernel_basis(m: Matrix) -> Subspace:
         cols.append(v)
     if not cols:
         return Subspace.zero(m.cols)
-    red = dense_rref(Matrix.from_columns(cols, rows=m.cols).transpose())
+    red = dense_rref(Matrix.from_rows(cols, cols=m.cols))
     rows = red.echelon.entries[: red.rank]
     return Subspace(m.cols, Matrix(red.rank, m.cols, rows).transpose())
 
@@ -158,10 +158,10 @@ def oracle_splitting_sides(instance):
     for q in range(8):
         dim = instance.space.dim(q)
         # functionals: degree 4 for even n, 0 for odd; vectors: 1 for even n, 5 for odd
-        rows = [sp.deltas[n].row(0) for n in n_range if (q, n % 2) in ((4, 0), (0, 1))]
+        rows = [sp.deltas[n].entries[0] for n in n_range if (q, n % 2) in ((4, 0), (0, 1))]
         cols = [sp.deltas_prime[n].col(0) for n in n_range if (q, n % 2) in ((1, 0), (5, 1))]
         z.append(kernel_basis(Matrix.from_rows(rows, cols=dim)))
-        b.append(Subspace.span(dim, Matrix.from_columns(cols, rows=dim)))
+        b.append(Subspace.span(dim, Matrix.from_rows(cols, cols=dim).transpose()))
     lef_w = sum((Fraction((-1) ** q) * trace(w.block(q)) for q in range(8)), Fraction(0))
     lef_hat = Fraction(0)
     chi = 0

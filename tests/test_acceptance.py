@@ -33,7 +33,7 @@ from floersplit.graded import (
     lefschetz,
     regrade,
 )
-from floersplit.qlinalg import Matrix
+from floersplit.qlinalg import Matrix, Subspace
 from floersplit.serialize import document_to_instance, dumps, instance_to_document
 
 from helpers import oracle_cohomology_dims, oracle_family_on_cocycles, oracle_splitting_sides
@@ -208,7 +208,7 @@ def test_criterion_8_chain_level():
                 lift = coh.rep_section[pdeg] @ inst.pair.deltas_prime[n]
                 diff = lift - vec
                 if not diff.is_zero:
-                    assert coh.coboundaries[pdeg].contains_vector(diff.col(0))
+                    assert coh.coboundaries[pdeg].contains(Subspace.span(diff.rows, diff))
             # representative independence of the induced cobordism map
             perturbed_secs = []
             for q in range(8):

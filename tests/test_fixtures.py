@@ -1,34 +1,16 @@
-"""The committed fixture files are the normative format examples; they
-must stay in sync with the compiled-in catalog and load to the same
-instances."""
+"""The committed fixture files are the catalog's documents; each must
+reproduce the expected values the catalog records for it."""
 
 from __future__ import annotations
 
-import json
-import pathlib
-
-import pytest
-
 from floersplit import catalog
-from floersplit.serialize import document_to_instance, load
-
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-
-
-@pytest.mark.parametrize("name", catalog.names())
-def test_fixture_file_matches_catalog(name):
-    path = FIXTURES / f"{name}.json"
-    on_disk = json.loads(path.read_text())
-    assert on_disk == catalog.get(name).document
-    assert load(str(path)) == catalog.load_entry(name)
+from floersplit.cobordism import verify_splitting
 
 
 def test_fixture_expected_values_hold():
     for name in catalog.names():
         entry = catalog.get(name)
-        from floersplit.cobordism import verify_splitting
-
-        v = verify_splitting(document_to_instance(entry.document))
+        v = verify_splitting(entry.instance())
         field_map = {
             "lef_w": v.lef_w,
             "lef_w_hat": v.lef_w_hat,

@@ -146,7 +146,7 @@ def test_induce_matches_bruteforce_oracle():
             lift = coh.rep_section[pdeg] @ pair.deltas_prime[n]
             diff = lift - oracle_vec
             if not diff.is_zero:
-                assert coh.coboundaries[pdeg].contains_vector(diff.col(0))
+                assert coh.coboundaries[pdeg].contains(Subspace.span(diff.rows, diff))
             hits += 1
     assert hits > 50
 
@@ -178,8 +178,8 @@ def test_z_subspaces_both_zero_full():
 def test_z_subspaces_sigma_fixture():
     space = _sigma_like_space()
     z = z_subspaces(space, _sigma_like_pair(space))
-    e = Matrix.identity(4).columns()
-    want = Subspace.span(4, Matrix.from_columns([e[2], e[3]], rows=4))
+    e = Matrix.identity(4).entries
+    want = Subspace.span(4, Matrix.from_rows([e[2], e[3]], cols=4).transpose())
     assert z[0] == want and z[0].dim == 2
     assert z[4] == want
 
@@ -264,12 +264,12 @@ def test_untouched_degrees():
 def test_inclusion_violation_guard():
     space = graded_space(0, 2, 0, 0, 0, 0, 0, 0)
     z = tuple(
-        Subspace.span(2, Matrix.from_columns([[1, 0]], rows=2)) if q == 1
+        Subspace.span(2, Matrix.from_rows([[1, 0]], cols=2).transpose()) if q == 1
         else Subspace.full(space.dim(q))
         for q in range(8)
     )
     b = tuple(
-        Subspace.span(2, Matrix.from_columns([[0, 1]], rows=2)) if q == 1
+        Subspace.span(2, Matrix.from_rows([[0, 1]], cols=2).transpose()) if q == 1
         else Subspace.zero(space.dim(q))
         for q in range(8)
     )

@@ -6,9 +6,12 @@ Krylov loop and the cobordism-block solver were each merged into one code
 path, and they pin that those paths still consume the random stream in
 the same order and print the same reports.  The relation-report digests
 were recorded before the two special families were merged into one
-relation loop, and pin its coefficients, violations and defects.  A
-digest changes only when an output changes; a deliberate output change
-must re-record it and say why.
+relation loop, and pin its coefficients, violations and defects.  The
+catalog digests were recorded while the catalog still carried its own
+copies of the fixture documents, and pin that reading the fixture files
+prints the same listings, entries, exports and reports.  A digest
+changes only when an output changes; a deliberate output change must
+re-record it and say why.
 """
 
 from __future__ import annotations
@@ -63,6 +66,22 @@ REPORT_DIGESTS = {
         "3dfe0fa3600fad0dd772e637df2a105b7108be91a1dc672b1baeb315cc93f551",
 }
 
+# SHA-256 of the stdout of `floersplit ARGS`; a unique prefix shows its entry
+CATALOG_DIGESTS = {
+    ("catalog", "list"):
+        "a1507f13d341a9f4163eec4d407b2ecd80e519bad7b43fc250dc503a8b5546e0",
+    ("--format", "json", "catalog", "list"):
+        "4b9b71c7b0c236a2050158d776a5999135f0eaf92c346ffe0e52cdd3dd916bdb",
+    ("catalog", "show", "sigma_2_7_13_mapping_torus"):
+        "989279d6fee0a179c78a9e000e3650e979369d6749d0c0cb59b2ae70d07bda66",
+    ("catalog", "show", "sigma_2_7"):
+        "989279d6fee0a179c78a9e000e3650e979369d6749d0c0cb59b2ae70d07bda66",
+    ("catalog", "show", "akbulut_cork_mapping_torus"):
+        "884734cc7aef2b6afd631c50927b99d7e9f74883855069a9d1d8a6d12efbb735",
+    ("catalog", "show", "product_cobordism_demo"):
+        "8bf691d4db6c4bb007107ac9af33b53477d72f1012582142a3a6e3fb3c54f3e3",
+}
+
 # SHA-256 of the newline-joined validate_relations reports of the seeds'
 # instances, each with its own W and with perturb_w(W, pair, seed % 2)
 RELATION_DIGESTS = {
@@ -93,6 +112,39 @@ def test_json_reports_are_golden(name, command, capsys):
     rc = main(["--format", "json", command, str(FIXTURES / f"{name}.json")])
     assert rc == 0
     assert _sha256(capsys.readouterr().out) == REPORT_DIGESTS[name, command]
+
+
+@pytest.mark.parametrize("name,command", sorted(REPORT_DIGESTS))
+def test_catalog_target_reports_are_golden(name, command, capsys):
+    rc = main(["--format", "json", command, f"catalog:{name}"])
+    assert rc == 0
+    assert _sha256(capsys.readouterr().out) == REPORT_DIGESTS[name, command]
+
+
+@pytest.mark.parametrize("args", sorted(CATALOG_DIGESTS))
+def test_catalog_outputs_are_golden(args, capsys):
+    assert main(list(args)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert _sha256(captured.out) == CATALOG_DIGESTS[args]
+
+
+def test_catalog_unknown_entry_is_golden(capsys):
+    assert main(["catalog", "show", "missing"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: no catalog entry named 'missing'; have sigma_2_7_13_mapping_torus, "
+        "akbulut_cork_mapping_torus, product_cobordism_demo\n"
+    )
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _ in REPORT_DIGESTS}))
+def test_catalog_export_writes_the_fixture_file(name, tmp_path, capsys):
+    path = tmp_path / "out.json"
+    assert main(["catalog", "export", name, str(path)]) == 0
+    assert capsys.readouterr().out == f"wrote {path}\n"
+    assert path.read_bytes() == (FIXTURES / f"{name}.json").read_bytes()
 
 
 def _report_text(r) -> str:

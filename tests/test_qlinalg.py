@@ -44,7 +44,7 @@ def matrices(max_dim=4):
 def subspaces(ambient=4):
     return st.lists(
         st.lists(entries, min_size=ambient, max_size=ambient), min_size=0, max_size=ambient
-    ).map(lambda cols: Subspace.span(ambient, Matrix.from_columns(cols, rows=ambient)))
+    ).map(lambda cols: Subspace.span(ambient, Matrix.from_rows(cols, cols=ambient).transpose()))
 
 
 # -- scalars -----------------------------------------------------------
@@ -212,7 +212,7 @@ def test_kernel_zero_map():
 
 def test_kernel_one_equation():
     k = kernel_basis(mat([[1, 2]]))
-    assert k == Subspace.span(2, Matrix.from_columns([[-2, 1]], rows=2))
+    assert k == Subspace.span(2, Matrix.from_rows([[-2, 1]], cols=2).transpose())
     assert k.dim == 1
 
 
@@ -225,8 +225,8 @@ def test_image_zero():
 
 
 def test_image_dependent_columns():
-    im = image_basis(Matrix.from_columns([[1, 1], [2, 2]], rows=2))
-    assert im == Subspace.span(2, Matrix.from_columns([[1, 1]], rows=2))
+    im = image_basis(Matrix.from_rows([[1, 1], [2, 2]], cols=2).transpose())
+    assert im == Subspace.span(2, Matrix.from_rows([[1, 1]], cols=2).transpose())
     assert im.dim == 1
 
 
@@ -249,13 +249,13 @@ def test_kernel_really_annihilates(m):
 @settings(max_examples=50, deadline=None)
 @given(subspaces(), st.randoms(use_true_random=False))
 def test_canonical_under_permuted_generators(s, rng):
-    cols = s.basis.columns()
+    cols = list(s.basis.transpose().entries)
     rng.shuffle(cols)
     # throw in a random combination of the generators as well
     if cols:
         extra = [sum(c) for c in zip(*[[x * (i + 1) for x in col] for i, col in enumerate(cols)])]
         cols.append(extra)
-    again = Subspace.span(s.ambient_dim, Matrix.from_columns(cols, rows=s.ambient_dim))
+    again = Subspace.span(s.ambient_dim, Matrix.from_rows(cols, cols=s.ambient_dim).transpose())
     assert again == s
 
 
@@ -263,21 +263,21 @@ def test_canonical_under_permuted_generators(s, rng):
 
 
 def test_intersect_with_full_space():
-    b = Subspace.span(3, Matrix.from_columns([[1, 2, 0]], rows=3))
+    b = Subspace.span(3, Matrix.from_rows([[1, 2, 0]], cols=3).transpose())
     assert intersect(Subspace.full(3), b) == b
 
 
 def test_intersect_transverse_lines():
-    a = Subspace.span(2, Matrix.from_columns([[1, 0]], rows=2))
-    b = Subspace.span(2, Matrix.from_columns([[1, 1]], rows=2))
+    a = Subspace.span(2, Matrix.from_rows([[1, 0]], cols=2).transpose())
+    b = Subspace.span(2, Matrix.from_rows([[1, 1]], cols=2).transpose())
     assert intersect(a, b) == Subspace.zero(2)
 
 
 def test_intersect_coordinate_planes():
-    e = Matrix.identity(4).columns()
-    a = Subspace.span(4, Matrix.from_columns([e[0], e[1]], rows=4))
-    b = Subspace.span(4, Matrix.from_columns([e[1], e[2]], rows=4))
-    assert intersect(a, b) == Subspace.span(4, Matrix.from_columns([e[1]], rows=4))
+    e = Matrix.identity(4).entries
+    a = Subspace.span(4, Matrix.from_rows([e[0], e[1]], cols=4).transpose())
+    b = Subspace.span(4, Matrix.from_rows([e[1], e[2]], cols=4).transpose())
+    assert intersect(a, b) == Subspace.span(4, Matrix.from_rows([e[1]], cols=4).transpose())
 
 
 def test_intersect_dimension_mismatch():
@@ -318,8 +318,8 @@ def test_quotient_by_everything():
 
 
 def test_quotient_section_hits_nonpivot_coordinates():
-    e = Matrix.identity(4).columns()
-    s = Subspace.span(4, Matrix.from_columns([e[0], e[2]], rows=4))
+    e = Matrix.identity(4).entries
+    s = Subspace.span(4, Matrix.from_rows([e[0], e[2]], cols=4).transpose())
     q = quotient(4, s)
     assert q.dim == 2
     assert q.section.col(0) == (0, 1, 0, 0)
@@ -339,40 +339,40 @@ def test_quotient_round_trip_and_kernel(s):
 
 
 def test_restrict_identity():
-    s = Subspace.span(3, Matrix.from_columns([[1, 0, 2], [0, 1, 1]], rows=3))
+    s = Subspace.span(3, Matrix.from_rows([[1, 0, 2], [0, 1, 1]], cols=3).transpose())
     assert restrict(Matrix.identity(3), s) == Matrix.identity(2)
 
 
 def test_restrict_scalar():
-    s = Subspace.span(3, Matrix.from_columns([[1, 0, 0]], rows=3))
+    s = Subspace.span(3, Matrix.from_rows([[1, 0, 0]], cols=3).transpose())
     assert restrict(Matrix.identity(3).scale(2), s) == mat([[2]])
 
 
 def test_restrict_shear():
-    s = Subspace.span(2, Matrix.from_columns([[1, 0]], rows=2))
+    s = Subspace.span(2, Matrix.from_rows([[1, 0]], cols=2).transpose())
     assert restrict(mat([[1, 1], [0, 1]]), s) == mat([[1]])
 
 
 def test_restrict_detects_non_invariance():
-    s = Subspace.span(2, Matrix.from_columns([[1, 0]], rows=2))
+    s = Subspace.span(2, Matrix.from_rows([[1, 0]], cols=2).transpose())
     swap = mat([[0, 1], [1, 0]])
     with pytest.raises(InvarianceViolation):
         restrict(swap, s)
 
 
 def test_induced_identity():
-    s = Subspace.span(2, Matrix.from_columns([[1, 1]], rows=2))
+    s = Subspace.span(2, Matrix.from_rows([[1, 1]], cols=2).transpose())
     q = quotient(2, s)
     assert induced_on_quotient(Matrix.identity(2), q) == Matrix.identity(1)
 
 
 def test_induced_minus_identity():
-    q = quotient(2, Subspace.span(2, Matrix.from_columns([[1, 0]], rows=2)))
+    q = quotient(2, Subspace.span(2, Matrix.from_rows([[1, 0]], cols=2).transpose()))
     assert induced_on_quotient(Matrix.identity(2).scale(-1), q) == mat([[-1]])
 
 
 def test_induced_swap_mod_diagonal():
-    q = quotient(2, Subspace.span(2, Matrix.from_columns([[1, 1]], rows=2)))
+    q = quotient(2, Subspace.span(2, Matrix.from_rows([[1, 1]], cols=2).transpose()))
     assert induced_on_quotient(mat([[0, 1], [1, 0]]), q) == mat([[-1]])
 
 
@@ -413,7 +413,7 @@ def test_trace_additivity_over_invariant_subspace(data):
     rows, gens = data
     n = len(rows)
     f = Matrix.from_rows(rows, cols=n)
-    s = Subspace.span(n, Matrix.from_columns(gens, rows=n)) if gens else Subspace.zero(n)
+    s = Subspace.span(n, Matrix.from_rows(gens, cols=n).transpose()) if gens else Subspace.zero(n)
     q = quotient(n, s)
     # make S invariant: zero out the quotient-visible part of f(S)
     if s.dim:

@@ -155,6 +155,27 @@ def test_parse_error_on_misshapen_family_member():
         document_to_instance(doc)
 
 
+def test_unbacked_dimensions_fail_before_families_are_built():
+    import tracemalloc
+
+    doc = {
+        "schema_version": "1",
+        "level": "cohomology-level",
+        "convention": "homology",
+        "spaces": {"hf": [100000, 0, 0, 0, 100000, 0, 0, 0]},
+        "special": {"case": "both_zero", "n_max": 1, "deltas": [], "deltas_prime": []},
+        "cobordism": {"label": "W", "blocks": []},
+    }
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="cobordism.blocks: expected 8 blocks"):
+            document_to_instance(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # no zero family member was built at a declared dimension
+
+
 def test_dichotomy_violation_on_load_clean():
     dims = [1, 1, 1, 1, 1, 1, 1, 1]
     doc = {
