@@ -12,9 +12,10 @@ cohomology convention.
 The two families are dual: a functional is a transposed vector.  Each
 ``Family`` in ``FAMILIES`` says where its members live and how they read
 as columns, so every check that concerns both families is one loop over
-them.  Z^q and B^q are the last stages of one filtration tower walk
-(``tower`` over ``tower_members``), which the cobordism tower replay
-reads as well.
+them.  Z^q and B^q each take one elimination of all the members at degree
+q; they equal the last stages of the filtration tower walk (``tower`` over
+``tower_members``), which only the cobordism tower replay walks, since it
+reads every stage.
 
 The degree +4 operator is required to be a strict chain map.  That is the
 minimal condition making the induced families well defined on cohomology;
@@ -232,7 +233,8 @@ def tower(dim: int, q: int, members):
     Yields ``(n, member, previous, next)`` per member.  At degrees 0 and 4
     the tower starts from the whole space and each stage intersects with
     the member's kernel; at 1 and 5 it starts from zero and each stage
-    adds the member's span.  Z^q and B^q are the last stages.
+    adds the member's span.  The last stages are Z^q and B^q, which
+    ``z_subspaces`` and ``b_subspaces`` compute without the walk.
     """
     kernel = q in (0, 4)
     stage = Subspace.full(dim) if kernel else Subspace.zero(dim)
@@ -243,21 +245,27 @@ def tower(dim: int, q: int, members):
 
 
 def _tower_ends(h: GradedSpace, sp: SpecialPair, degrees, start) -> tuple[Subspace, ...]:
+    """One elimination per degree of all its members, each read as a row;
+    canonical bases make each end equal the last stage of ``tower``."""
     sp.validate_against(h)
     ends = [start(h.dim(q)) for q in range(8)]
     for q in degrees:
-        for _, _, _, ends[q] in tower(h.dim(q), q, tower_members(sp, q)):  # keep the last stage
-            pass
+        if members := tower_members(sp, q):
+            dim = h.dim(q)
+            rows = Matrix(len(members), dim, tuple(tuple(x for r in m.entries for x in r) for _, m in members))
+            ends[q] = kernel_basis(rows) if q in (0, 4) else Subspace.span(dim, rows.transpose())
     return tuple(ends)
 
 
 def z_subspaces(h: GradedSpace, sp: SpecialPair) -> tuple[Subspace, ...]:
-    """Common kernels of the functionals: cut down in degrees 0 and 4 only."""
+    """Common kernels of the functionals: cut down in degrees 0 and 4 only,
+    each the kernel of all the functionals at that degree stacked."""
     return _tower_ends(h, sp, (0, 4), Subspace.full)
 
 
 def b_subspaces(h: GradedSpace, sp: SpecialPair) -> tuple[Subspace, ...]:
-    """Spans of the vectors: nonzero in degrees 1 and 5 only."""
+    """Spans of the vectors: nonzero in degrees 1 and 5 only, each the
+    span of all the vectors at that degree side by side."""
     return _tower_ends(h, sp, (1, 5), Subspace.zero)
 
 

@@ -61,13 +61,14 @@ def matrix_to_json(m) -> list:
 
 def matrix_from_json(obj, rows: int, cols: int, where: str):
     if not isinstance(obj, list) or len(obj) != rows:
-        raise ParseError(f"{where}: expected {rows} rows, got {obj!r}")
+        got = type(obj).__name__ + (f" of length {len(obj)}" if isinstance(obj, list) else "")
+        raise ParseError(f"{where}: expected {rows} rows, got {got}")
     data = []
     for r in obj:
         if not isinstance(r, list) or len(r) != cols:
             raise ParseError(f"{where}: expected rows of length {cols}")
-        data.append([rational_from_json(x) for x in r])
-    return Matrix.from_rows(data, cols=cols)
+        data.append(tuple(rational_from_json(x) for x in r))
+    return Matrix(rows, cols, tuple(data))  # the entries are Fractions already
 
 
 def _graded_map_from_json(obj, space: GradedSpace, shift: int, where: str) -> GradedMap:

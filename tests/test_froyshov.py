@@ -9,6 +9,7 @@ import pytest
 
 from floersplit.errors import DichotomyViolation, InclusionViolation, ValidationError
 from floersplit.froyshov import (
+    FAMILIES,
     Case,
     ChainSpecial,
     SpecialPair,
@@ -19,6 +20,8 @@ from floersplit.froyshov import (
     induce_special,
     reduced,
     reduced_from_subspaces,
+    tower,
+    tower_members,
     z_subspaces,
 )
 from floersplit.graded import CochainComplex, GradedMap, cohomology
@@ -214,6 +217,73 @@ def test_b_subspace_rank_two():
         n_max=2,
     )
     assert b_subspaces(space, pair)[1].dim == 2
+
+
+def _random_member(rng, earlier, shape, kinds):
+    """A zero, repeated, dependent or random member; ``kinds`` counts each."""
+    kind = rng.choice(("zero", "repeat", "combination", "random"))
+    if kind != "zero" and not earlier:
+        kind = "random"
+    kinds[kind] += 1
+    if kind == "zero":
+        return Matrix.zeros(*shape)
+    if kind == "repeat":
+        return rng.choice(earlier)
+    if kind == "combination":
+        out = Matrix.zeros(*shape)
+        for m in rng.sample(earlier, min(len(earlier), 2)):
+            out = out + m.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        return out
+    rows, cols = shape
+    return Matrix.from_rows(
+        [[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(cols)] for _ in range(rows)], cols=cols
+    )
+
+
+def _last_stage(dim, q, members, start):
+    stage = start(dim)
+    for _, _, _, stage in tower(dim, q, members):
+        pass
+    return stage
+
+
+def test_z_and_b_equal_the_last_tower_stage_on_random_pairs():
+    kinds = {"zero": 0, "repeat": 0, "combination": 0, "random": 0}
+    cases, zero_dims, memberless = set(), 0, 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        space = graded_space(*(rng.choice((0, 1, 2, 3, 4)) for _ in range(8)))
+        n_max = rng.randint(0, 5)
+        case = rng.choice(list(Case))
+        by_degree = {q: [] for q in (0, 1, 4, 5)}
+        families = {fam.key: [] for fam in FAMILIES}
+        for n in range(n_max + 1):
+            for fam in FAMILIES:
+                shape = fam.shape(space.dim(fam.degree(n)))
+                if case is fam.case:
+                    m = _random_member(rng, by_degree[fam.degree(n)], shape, kinds)
+                    by_degree[fam.degree(n)].append(m)
+                else:
+                    m = Matrix.zeros(*shape)
+                families[fam.key].append(m)
+        pair = SpecialPair(n_max, tuple(families["deltas"]), tuple(families["deltas_prime"]), case)
+        cases.add(pair.case)
+        z, b = z_subspaces(space, pair), b_subspaces(space, pair)
+        for q in range(8):
+            members = tower_members(pair, q)
+            memberless += q in (0, 1, 4, 5) and not members
+            zero_dims += space.dim(q) == 0 and bool(members)
+            if q in (0, 4):
+                assert z[q] == _last_stage(space.dim(q), q, members, Subspace.full), (seed, q)
+            else:
+                assert z[q] == Subspace.full(space.dim(q)), (seed, q)
+            if q in (1, 5):
+                assert b[q] == _last_stage(space.dim(q), q, members, Subspace.zero), (seed, q)
+            else:
+                assert b[q] == Subspace.zero(space.dim(q)), (seed, q)
+    # the seeds reach every case and every kind of member the ends must handle
+    assert cases == set(Case)
+    assert min(kinds.values()) > 50 and zero_dims > 50 and memberless > 0
 
 
 # -- reduced -----------------------------------------------------------------

@@ -15,6 +15,7 @@ from floersplit.cobordism import verify_splitting
 from floersplit.errors import DichotomyViolation, ParseError, RelationViolation, UnknownEntry
 from floersplit.gen import GenConfig, gen_chain_instance, gen_instance
 from floersplit.instance import HOMOLOGY, Instance
+from floersplit.qlinalg import Matrix
 from floersplit.serialize import (
     document_to_instance,
     dumps,
@@ -153,6 +154,40 @@ def test_parse_error_on_misshapen_family_member():
     doc["special"]["deltas_prime"] = [[[1]], [], [], []]
     with pytest.raises(ParseError):
         document_to_instance(doc)
+
+
+def test_misshapen_block_error_names_the_shape_not_the_data(tmp_path, capsys):
+    doc = copy.deepcopy(catalog.get("akbulut_cork_mapping_torus").document)
+    doc["spaces"]["hf"][1] = 300
+    doc["cobordism"]["blocks"][1] = [[0] * 300 for _ in range(299)]
+    path = tmp_path / "short-block.json"
+    path.write_text(json.dumps(doc))
+    assert path.stat().st_size > 250_000
+    assert main(["verify", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: cobordism.blocks[1]: expected 300 rows, got list of length 299"]
+    assert len(err.encode()) < 200
+
+
+def _matrices_in(x):
+    if isinstance(x, Matrix):
+        yield x
+    elif dataclasses.is_dataclass(x):
+        for f in dataclasses.fields(x):
+            yield from _matrices_in(getattr(x, f.name))
+    elif isinstance(x, tuple):
+        for v in x:
+            yield from _matrices_in(v)
+
+
+def test_loaded_entries_are_fractions():
+    docs = [catalog.get(name).document for name in catalog.names()]
+    docs.append(instance_to_document(gen_chain_instance(GenConfig(seed=2, chain_level=True))))
+    for doc in docs:
+        inst = document_to_instance(json.loads(json.dumps(doc)))
+        matrices = list(_matrices_in(inst))
+        assert matrices
+        assert all(type(x) is Fraction for m in matrices for r in m.entries for x in r)
 
 
 def test_unbacked_dimensions_fail_before_families_are_built():
