@@ -5,10 +5,11 @@ families, extracts the correction coefficients, induces the map on the
 reduced theory, computes the Lefschetz-number invariants, checks the two
 splitting identities, and replays the filtration towers step by step.
 
-Both families run through one relation loop on columns: delta_n o W =
-delta_n + sum a_{i,n} delta_i is the transpose of W o delta'_n = delta'_n +
-sum b_{i,n} delta'_i, so a functional is checked as its transposed
-column against the transposed block.  ``validate_instance`` is the one
+Both families run through one relation loop: delta_n o W = delta_n +
+sum a_{i,n} delta_i is the transpose of W o delta'_n = delta'_n + sum
+b_{i,n} delta'_i, so each member is checked as one vector (a functional's
+row, a vector's column) against the running span of the lower members
+of its parity.  ``validate_instance`` is the one
 validation prefix: loading a document only parses it, and
 ``verify_splitting`` and ``floersplit trace`` each validate once before
 using an instance.  Every invariant is
@@ -36,6 +37,7 @@ from .errors import (
 from .froyshov import (
     FAMILIES,
     Case,
+    Family,
     ReducedResult,
     SpecialPair,
     froyshov_h,
@@ -47,12 +49,11 @@ from .graded import GradedMap, lefschetz
 from .instance import HOMOLOGY, Instance, relabel
 from .qlinalg import (
     Matrix,
+    RunningSpan,
     Subspace,
     induced_on_quotient,
     quotient,
     restrict,
-    rref,
-    solve,
     trace,
 )
 
@@ -110,38 +111,57 @@ class RelationReport:
             )
 
 
+def _defects(fam: Family, block: Matrix, members) -> list[tuple[Fraction, ...]]:
+    """Each member's relation defect as a vector, from one product: the
+    functionals stacked as rows times the block (delta o W - delta), or
+    the block times the vectors side by side (W o delta' - delta')."""
+    dim = block.rows
+    if fam.functional:
+        stack = Matrix(len(members), dim, tuple(m.entries[0] for m in members))
+        return list((stack @ block - stack).entries)
+    stack = Matrix(dim, len(members), tuple(tuple(m.entries[i][0] for m in members) for i in range(dim)))
+    out = block @ stack - stack
+    return [out.col(j) for j in range(len(members))]
+
+
 def validate_relations(w: CobordismMap, sp: SpecialPair) -> RelationReport:
     """Check the relations between the map and both special families.
 
-    Each member is read as a column (see ``froyshov.Family``) and checked
-    against the block of its degree, transposed for a functional.  The
-    defect of member n must lie in the span of the lower same-parity
-    members; for the degree-zero members that span is zero, so they must
-    be fixed exactly (delta_0 o W = delta_0, W o delta'_0 = delta'_0).
-    The coefficients of one exact decomposition are returned, with
-    integrality and uniqueness reported.
+    The defects of the members acting at one degree come from one product
+    with its block (see ``_defects``).  The defect of member n must lie
+    in the span of the lower same-parity members, which grows one member
+    at a time in a running echelon form, so each member costs one
+    reduction against it; for the degree-zero members that span is zero,
+    so they must be fixed exactly (delta_0 o W = delta_0, W o delta'_0 =
+    delta'_0).  The coefficients of one exact decomposition are returned
+    (free variables zero), with integrality and uniqueness reported.
     """
     violations: list[RelationViolationRecord] = []
     solved = []  # (coefficients, nonunique indices) per family
+    zero = Fraction(0)
     for fam in FAMILIES:
-        cols = [fam.columnwise(m) for m in getattr(sp, fam.key)]
+        members = getattr(sp, fam.key)
+        defects: list = [None] * len(members)
+        spans = []  # the lower members of each parity
+        for parity in range(min(2, len(members))):
+            block = w.w.block(fam.degree(parity))
+            defects[parity::2] = _defects(fam, block, members[parity::2])
+            spans.append(RunningSpan(block.rows))
         coeffs: dict[tuple[int, int], Fraction] = {}
         nonunique: list[int] = []
-        for n, col in enumerate(cols):
-            deg = fam.degree(n)
-            defect = fam.columnwise(w.w.block(deg)) @ col - col
-            lower = range(n % 2, n, 2)  # the lower same-parity indices
-            stacked = Matrix.zeros(col.rows, 0)
-            for i in lower:
-                stacked = stacked.hstack(cols[i])
-            x = solve(stacked, defect)
+        for n, (m, defect) in enumerate(zip(members, defects)):
+            span = spans[n % 2]
+            x = span.coordinates(defect)
             if x is None:
-                shown = fam.columnwise(defect)  # in the member's shape
-                violations.append(RelationViolationRecord(fam.relation, n, deg, shown))
-                continue
-            coeffs.update({(i, n): x.entry(idx, 0) for idx, i in enumerate(lower)})
-            if rref(stacked).rank < len(lower):
-                nonunique.append(n)
+                rows, cols = fam.shape(len(defect))
+                shown = Matrix(rows, cols, (defect,) if fam.functional else tuple((v,) for v in defect))
+                violations.append(RelationViolationRecord(fam.relation, n, fam.degree(n), shown))
+            else:
+                lower = range(n % 2, n, 2)
+                coeffs.update({(i, n): x.get(i, zero) for i in lower})
+                if span.rank < len(lower):
+                    nonunique.append(n)
+            span.add(n, fam.vector(m))
         solved.append((coeffs, tuple(nonunique)))
     (a, nonunique_a), (b, nonunique_b) = solved
     return RelationReport(

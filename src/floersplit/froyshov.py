@@ -32,7 +32,12 @@ from typing import Callable
 
 from .errors import DichotomyViolation, InclusionViolation, ValidationError
 from .graded import CochainComplex, CohomologyResult, GradedMap, GradedSpace, euler, induced_map
-from .qlinalg import Matrix, QuotientSpace, Subspace, intersect, kernel_basis, quotient
+from .qlinalg import Matrix, QuotientSpace, RunningSpan, Subspace, kernel_basis, quotient
+
+
+# The largest n_max a document may declare or a generator config may
+# emit: loading refuses a larger one before building any member.
+MAX_N_MAX = 1024
 
 
 class Case(Enum):
@@ -66,11 +71,10 @@ class Family:
     def shape(self, dim: int) -> tuple[int, int]:
         return (1, dim) if self.functional else (dim, 1)
 
-    def columnwise(self, m: Matrix) -> Matrix:
-        """A member read as a column, or a block as acting on columns: ``m``
-        transposed for functionals, as is for vectors (an involution, so
-        it also reads a column back as a member)."""
-        return m.transpose() if self.functional else m
+    def vector(self, m: Matrix) -> tuple[Fraction, ...]:
+        """A member's entries as one vector: a functional's row, a vector's
+        column."""
+        return m.entries[0] if self.functional else m.col(0)
 
 
 FAMILIES = (
@@ -168,23 +172,22 @@ def krylov_families(d0: Matrix, p0: Matrix, v_blocks, dims, n_min: int):
     ``v_blocks[q]`` is the block of V on degree q.  Each parity subfamily
     is a Krylov sequence of a fixed operator, so one step that does not
     grow its span means the span is final; iteration runs past ``n_min``
-    until all four parity spans have stopped.  Returns the member lists.
+    until all four parity spans have stopped.  Each span grows in one
+    running echelon form.  Returns the member lists.
     """
     deltas: list[Matrix] = []
     primes: list[Matrix] = []
     # the four parity subfamilies live in degrees 4, 0 (functionals) and 1, 5
-    spans = {q: Subspace.zero(dims[q]) for q in (0, 1, 4, 5)}
+    spans = {q: RunningSpan(dims[q]) for q in (0, 1, 4, 5)}
     stable: set[int] = set()
     cap = n_min + 2 * (max(dims) + 2)
     d, p, n = d0, p0, 0
     while True:
         deltas.append(d)
         primes.append(p)
-        for q, vec in ((delta_degree(n), d.transpose()), (delta_prime_degree(n), p)):
-            grown = spans[q].sum_with(Subspace.span(vec.rows, vec))
-            if grown.dim == spans[q].dim:
+        for q, vec in ((delta_degree(n), d.entries[0]), (delta_prime_degree(n), p.col(0))):
+            if not spans[q].add(n, vec):
                 stable.add(q)
-            spans[q] = grown
         if n >= n_min and len(stable) == 4:
             return deltas, primes
         if n >= cap:
@@ -233,13 +236,19 @@ def tower(dim: int, q: int, members):
     Yields ``(n, member, previous, next)`` per member.  At degrees 0 and 4
     the tower starts from the whole space and each stage intersects with
     the member's kernel; at 1 and 5 it starts from zero and each stage
-    adds the member's span.  The last stages are Z^q and B^q, which
-    ``z_subspaces`` and ``b_subspaces`` compute without the walk.
+    adds the member's span.  The members so far grow one running echelon
+    form, and a stage is recomputed only when a member grows it: the
+    common kernel of its rows, or their canonical span.  The last stages
+    are Z^q and B^q, which ``z_subspaces`` and ``b_subspaces`` compute
+    without the walk.
     """
     kernel = q in (0, 4)
     stage = Subspace.full(dim) if kernel else Subspace.zero(dim)
+    span = RunningSpan(dim)
     for n, m in members:
-        nxt = intersect(stage, kernel_basis(m)) if kernel else stage.sum_with(Subspace.span(dim, m))
+        nxt = stage
+        if span.add(n, m.entries[0] if kernel else m.col(0)):
+            nxt = kernel_basis(span.rows) if kernel else span.subspace()
         yield n, m, stage, nxt
         stage = nxt
 

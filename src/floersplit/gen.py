@@ -23,6 +23,7 @@ random unimodular matrices so nothing stays coordinate-aligned.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +32,7 @@ from .cobordism import CobordismMap, validate_relations
 from .errors import Infeasible, ValidationError
 from .froyshov import (
     FAMILIES,
+    MAX_N_MAX,
     Case,
     ChainSpecial,
     SpecialPair,
@@ -41,7 +43,7 @@ from .froyshov import (
 )
 from .graded import CochainComplex, GradedMap, GradedSpace, cohomology, induced_map
 from .instance import COHOMOLOGY, Instance, LEVEL_CHAIN, LEVEL_COHOMOLOGY
-from .qlinalg import Matrix, Subspace, kernel_basis, solve
+from .qlinalg import Matrix, RunningSpan, kernel_basis, solve
 
 _CASES = (Case.DELTA_SIDE, Case.DELTA_PRIME_SIDE, Case.BOTH_ZERO)
 
@@ -61,8 +63,27 @@ class GenConfig:
             raise ValidationError("max_dim must be nonnegative")
         if self.n_max < 1:
             raise ValidationError("n_max must be at least 1")
-        if len(self.case_mix) != 3 or any(w < 0 for w in self.case_mix) or not any(self.case_mix):
+        # the largest n_max an emitted document can carry: chain-level
+        # families grow past n_max until stable (krylov_families), and
+        # periodic ones get an odd n_max
+        reach = self.n_max
+        if self.chain_level:
+            reach += 2 * (self.max_dim + 2)
+        elif self.periodic and self.n_max % 2 == 0:
+            reach += 1
+        if reach > MAX_N_MAX:
+            raise ValidationError(
+                f"n_max {self.n_max} can emit documents with n_max up to {reach}, past {MAX_N_MAX}"
+            )
+        mix = self.case_mix
+        if len(mix) != 3 or any(w < 0 for w in mix) or not any(mix):
             raise ValidationError("case_mix needs 3 nonnegative weights, not all zero")
+        try:
+            finite = all(map(math.isfinite, mix)) and math.isfinite(sum(mix))
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            raise ValidationError("case_mix needs finite weights with a finite total")
         if self.entry_bound < 1:
             raise ValidationError("entry_bound must be positive")
 
@@ -98,12 +119,11 @@ def _solve_member_block(rng, dim, members, bound, planted):
     """
     if not members:
         return _rand_matrix(rng, dim, dim, bound)
-    span = Subspace.zero(dim)
+    span = RunningSpan(dim)
     d_mat = Matrix.zeros(0, dim)
     r_mat = Matrix.zeros(0, dim)
     for idx, (n, row) in enumerate(members):
-        member_span = Subspace.span(dim, row.transpose())
-        if not span.contains(member_span):
+        if span.add(n, row.entries[0]):
             rhs = row
             for i, row_i in members[:idx]:
                 c = rng.randint(-bound, bound)
@@ -111,7 +131,6 @@ def _solve_member_block(rng, dim, members, bound, planted):
                 rhs = rhs + row_i.scale(c)
             d_mat = d_mat.vstack(row)
             r_mat = r_mat.vstack(rhs)
-        span = span.sum_with(member_span)
     part = solve(d_mat, r_mat)  # never None: the included rows are independent
     ker = kernel_basis(d_mat)
     if ker.dim:

@@ -1,5 +1,6 @@
 """Exact rational linear algebra: echelon forms, kernels, images,
-intersections, quotients with chosen sections, restrictions, traces.
+intersections, spans grown one vector at a time, quotients with chosen
+sections, restrictions, traces.
 
 Everything is immutable and canonical.  Scalars are ``fractions.Fraction``,
 so all arithmetic is exact and every comparison downstream is an equality,
@@ -275,11 +276,6 @@ class Subspace:
             return True
         return solve(self.basis, other.basis) is not None
 
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return Subspace.span(self.ambient_dim, self.basis.hstack(other.basis))
-
     def coordinates_of(self, vectors: Matrix) -> Matrix:
         """Coordinates of the given column vectors in this basis."""
         x = solve(self.basis, vectors)
@@ -308,6 +304,92 @@ def kernel_basis(m: Matrix) -> Subspace:
             v[pc] = -ech.entries[r][f]
         rows.append(tuple(v))
     return _row_span(Matrix(len(free), m.cols, tuple(rows)))
+
+
+class RunningSpan:
+    """The span of vectors in Q^dim added one at a time, kept in one
+    running reduced echelon form.
+
+    Each row is 1 at its pivot and 0 at every other pivot, and carries its
+    combination of the independent vectors added so far (those for which
+    ``add`` returned True), keyed by the caller's distinct keys.  Adding a
+    vector reduces it against the rows and, when something is left,
+    eliminates the new pivot from the other rows; nothing is ever
+    re-eliminated from scratch.  ``coordinates`` equals ``solve`` against
+    the added vectors stacked as columns with free variables set to zero,
+    since the independent vectors are exactly that matrix's pivot columns.
+    """
+
+    __slots__ = ("dim", "_rows")
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        # pivot -> (the row's nonzeros by column, its combination by key)
+        self._rows: dict[int, tuple[dict[int, Fraction], dict]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def _reduce(self, v: Sequence[Fraction]):
+        """v minus its part in the span, and that part's combination."""
+        if len(v) != self.dim:
+            raise ValueError(f"vector of length {len(v)} in a span of Q^{self.dim}")
+        residual = list(v)
+        coeffs: dict = {}
+        for p, (row, combo) in self._rows.items():
+            # every other row is zero at p, so v's own entry is the multiple
+            c = v[p]
+            if c:
+                for j, x in row.items():
+                    residual[j] -= c * x
+                for k, y in combo.items():
+                    coeffs[k] = coeffs.get(k, 0) + c * y
+        return residual, coeffs
+
+    def coordinates(self, v: Sequence[Fraction]) -> dict | None:
+        """v's combination of the independent vectors (a missing key has
+        coefficient zero), or None when v lies outside the span."""
+        residual, coeffs = self._reduce(v)
+        return None if any(residual) else coeffs
+
+    def add(self, key, v: Sequence[Fraction]) -> bool:
+        """Add v under ``key``; True exactly when the span grew."""
+        residual, coeffs = self._reduce(v)
+        pc = next((j for j, x in enumerate(residual) if x), None)
+        if pc is None:
+            return False
+        inv = Q(1) / residual[pc]
+        row = {j: x * inv for j, x in enumerate(residual) if x}
+        combo = {k: -c * inv for k, c in coeffs.items() if c}
+        combo[key] = inv
+        for other, other_combo in self._rows.values():
+            if f := other.get(pc):
+                _axpy(other, -f, row)
+                _axpy(other_combo, -f, combo)
+        self._rows[pc] = (row, combo)
+        return True
+
+    @property
+    def rows(self) -> Matrix:
+        """The reduced echelon rows in pivot order: ``rref`` of the added
+        vectors stacked as rows, without its zero rows."""
+        zero, cols = Q(0), range(self.dim)
+        rows = (self._rows[p][0] for p in sorted(self._rows))
+        return Matrix(self.rank, self.dim, tuple(tuple(r.get(j, zero) for j in cols) for r in rows))
+
+    def subspace(self) -> "Subspace":
+        """The canonical subspace spanned so far."""
+        return Subspace(self.dim, self.rows.transpose())
+
+
+def _axpy(y: dict, a: Fraction, x: dict) -> None:
+    """y += a * x on sparse dicts, dropping entries that cancel."""
+    for j, v in x.items():
+        if t := y.get(j, 0) + a * v:
+            y[j] = t
+        else:
+            del y[j]
 
 
 def image_basis(m: Matrix) -> Subspace:

@@ -21,7 +21,7 @@ from typing import Any
 
 from .cobordism import validate_instance  # noqa: F401  re-exported
 from .errors import ParseError
-from .froyshov import FAMILIES, Case, ChainSpecial, SpecialPair, induce_special
+from .froyshov import FAMILIES, MAX_N_MAX, Case, ChainSpecial, SpecialPair, induce_special
 from .graded import CochainComplex, GradedMap, GradedSpace, cohomology, induced_map
 from .instance import COHOMOLOGY, HOMOLOGY, Instance, LEVEL_CHAIN, LEVEL_COHOMOLOGY, relabel
 from .qlinalg import Matrix
@@ -46,12 +46,14 @@ def rational_from_json(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
+        # the message names the length, never the string: it may be huge
         if not _RATIONAL.fullmatch(v):
-            raise ParseError(f"bad rational string {v!r}, expected an integer or 'p/q'")
+            raise ParseError(f"bad rational: str of length {len(v)}, expected an integer or 'p/q'")
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as e:
-            raise ParseError(f"bad rational string {v!r}") from e
+            why = "zero denominator" if isinstance(e, ZeroDivisionError) else "too many digits"
+            raise ParseError(f"bad rational: str of length {len(v)}, {why}") from e
     raise ParseError(f"rational entries must be integers or 'p/q' strings, got {type(v).__name__}")
 
 
@@ -153,8 +155,8 @@ def document_to_instance(doc: Any) -> Instance:
         if not isinstance(special, dict):
             raise ParseError("special section is required")
         n_max = special.get("n_max")
-        if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
-            raise ParseError("special.n_max must be a nonnegative integer")
+        if not isinstance(n_max, int) or isinstance(n_max, bool) or not 0 <= n_max <= MAX_N_MAX:
+            raise ParseError(f"special.n_max must be an integer from 0 to {MAX_N_MAX}")
         case_str = special.get("case")
         try:
             case = Case(case_str)
@@ -176,8 +178,8 @@ def document_to_instance(doc: Any) -> Instance:
             doc.get("delta_prime"), cf_doc.dims[_doc_degree(1, convention)], 1, "delta_prime"
         )
         n_max = doc.get("n_max", 4)
-        if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
-            raise ParseError("n_max must be a positive integer")
+        if not isinstance(n_max, int) or isinstance(n_max, bool) or not 1 <= n_max <= MAX_N_MAX:
+            raise ParseError(f"n_max must be an integer from 1 to {MAX_N_MAX}")
         cf_space, d_map, v_map, w_chain = (
             relabel(x, convention) for x in (cf_doc, d_doc, v_doc, w_doc)
         )

@@ -11,8 +11,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from floersplit.graded import CochainComplex, GradedMap, GradedSpace
-from floersplit.qlinalg import Matrix, RrefResult, Subspace, kernel_basis, rref
+from floersplit.qlinalg import Matrix, RrefResult, Subspace, intersect, kernel_basis, rref
 
 
 def mat(rows, cols=None):
@@ -77,6 +79,59 @@ def dense_kernel_basis(m: Matrix) -> Subspace:
     red = dense_rref(Matrix.from_rows(cols, cols=m.cols))
     rows = red.echelon.entries[: red.rank]
     return Subspace(m.cols, Matrix(red.rank, m.cols, rows).transpose())
+
+
+def reference_tower(dim: int, q: int, members) -> list[Subspace]:
+    """Every stage of the filtration tower walk as first written: a kernel
+    stage intersects the previous stage with the member's kernel, a span
+    stage is the span of the previous basis and the member side by side."""
+    kernel = q in (0, 4)
+    stage = Subspace.full(dim) if kernel else Subspace.zero(dim)
+    stages = []
+    for _, m in members:
+        if kernel:
+            stage = intersect(stage, kernel_basis(m))
+        else:
+            stage = Subspace.span(dim, stage.basis.hstack(m))
+        stages.append(stage)
+    return stages
+
+
+# three in four entries zero, the rest small or with numerator and
+# denominator above 2**100
+above_2_100 = st.integers(2**100 + 1, 2**110)
+huge = st.builds(
+    lambda sign, p, q: Fraction(sign * p, q), st.sampled_from([1, -1]), above_2_100, above_2_100
+)
+sparse_scalars = st.tuples(
+    st.integers(0, 3), st.one_of(st.integers(-4, 4), huge)
+).map(lambda t: t[1] if t[0] == 0 else 0)
+coefficients = st.one_of(
+    st.integers(-3, 3), huge, st.fractions(min_value=-3, max_value=3, max_denominator=7)
+)
+
+
+@st.composite
+def vector_sequences(draw, max_dim=6, max_count=8):
+    """(dim, vectors): mostly-zero vectors in Q^dim, dim 0 included, mixed
+    with zero ones, repeats and combinations of earlier ones (non-integral
+    and huge coefficients), so that many additions leave a span unchanged."""
+    dim = draw(st.integers(0, max_dim))
+    vectors: list[tuple[Fraction, ...]] = []
+    for _ in range(draw(st.integers(0, max_count))):
+        kind = draw(st.sampled_from(("sparse", "zero", "repeat", "combination")))
+        if kind == "sparse" or (kind != "zero" and not vectors):
+            v = draw(st.lists(sparse_scalars, min_size=dim, max_size=dim))
+        elif kind == "zero":
+            v = [0] * dim
+        elif kind == "repeat":
+            v = draw(st.sampled_from(vectors))
+        else:
+            picks = draw(st.lists(st.sampled_from(vectors), min_size=1, max_size=3))
+            cs = draw(st.lists(coefficients, min_size=len(picks), max_size=len(picks)))
+            v = [sum((c * u[j] for c, u in zip(cs, picks)), Fraction(0)) for j in range(dim)]
+        vectors.append(tuple(Fraction(x) for x in v))
+    return dim, vectors
 
 
 def graded_space(*dims):

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floersplit.errors import DichotomyViolation, InclusionViolation, ValidationError
 from floersplit.froyshov import (
@@ -33,6 +34,8 @@ from helpers import (
     mat,
     oracle_family_on_cocycles,
     random_split_complex,
+    reference_tower,
+    vector_sequences,
 )
 
 
@@ -284,6 +287,25 @@ def test_z_and_b_equal_the_last_tower_stage_on_random_pairs():
     # the seeds reach every case and every kind of member the ends must handle
     assert cases == set(Case)
     assert min(kinds.values()) > 50 and zero_dims > 50 and memberless > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_sequences(), st.sampled_from((0, 1, 4, 5)))
+def test_every_tower_stage_equals_the_intersect_walk(seq, q):
+    """Each stage, previous and next, equals the walk that intersects a
+    kernel or spans the basis and the member anew at every step."""
+    dim, vectors = seq
+    kernel = q in (0, 4)
+    members = tuple(
+        (n, Matrix(1, dim, (v,)) if kernel else Matrix(dim, 1, tuple((x,) for x in v)))
+        for n, v in enumerate(vectors)
+    )
+    start = Subspace.full(dim) if kernel else Subspace.zero(dim)
+    want = reference_tower(dim, q, members)
+    walked = list(tower(dim, q, members))
+    assert [(n, m) for n, m, _, _ in walked] == list(members)
+    assert [nxt for _, _, _, nxt in walked] == want
+    assert [prev for _, _, prev, _ in walked] == ([start] + want)[: len(want)]
 
 
 # -- reduced -----------------------------------------------------------------

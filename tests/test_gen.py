@@ -3,6 +3,7 @@ coverage, chain-level planting, and cobordism redraws."""
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from floersplit.cobordism import (
     verify_splitting,
 )
 from floersplit.errors import ValidationError
-from floersplit.froyshov import Case, reduced
+from floersplit.froyshov import MAX_N_MAX, Case, reduced
 from floersplit.gen import (
     GenConfig,
     gen_chain_instance,
@@ -25,7 +26,7 @@ from floersplit.gen import (
 )
 from floersplit.graded import GradedSpace, cohomology, euler
 from floersplit.qlinalg import Subspace, rref
-from floersplit.serialize import dumps
+from floersplit.serialize import document_to_instance, dumps
 
 from helpers import oracle_cohomology_dims, oracle_family_on_cocycles
 
@@ -39,6 +40,40 @@ def test_config_validation():
         GenConfig(seed=1, case_mix=(0.0, 0.0, 0.0))
     with pytest.raises(ValidationError):
         GenConfig(seed=1, entry_bound=0)
+
+
+@pytest.mark.parametrize(
+    "mix",
+    [(float("nan"), 1.0, 1.0), (float("inf"), 1.0, 1.0), (1e308, 1e308, 1e308), (10**400, 1, 1)],
+    ids=["nan", "inf", "infinite-total", "int-past-float"],
+)
+def test_config_refuses_non_finite_case_mix(mix):
+    with pytest.raises(ValidationError, match="finite weights with a finite total"):
+        GenConfig(seed=1, case_mix=mix)
+
+
+def test_config_refuses_documents_past_the_n_max_cap():
+    """The largest n_max a config can emit counts the chain-level Krylov
+    extension (2 (max_dim + 2) members) and the periodic odd n_max; the
+    configs right at the cap emit documents that load."""
+    at_cap = (
+        dict(n_max=MAX_N_MAX, max_dim=2),
+        dict(n_max=MAX_N_MAX - 1, max_dim=2, periodic=True),
+        dict(n_max=MAX_N_MAX - 4, max_dim=0, chain_level=True),
+    )
+    past_cap = (
+        dict(n_max=MAX_N_MAX + 1),
+        dict(n_max=MAX_N_MAX, periodic=True),
+        dict(n_max=MAX_N_MAX - 3, max_dim=0, chain_level=True),
+        dict(n_max=MAX_N_MAX - 15, max_dim=6, chain_level=True),
+    )
+    for kwargs in past_cap:
+        with pytest.raises(ValidationError, match=f"past {MAX_N_MAX}"):
+            GenConfig(seed=1, **kwargs)
+    for kwargs in at_cap:
+        inst = gen_instance(GenConfig(seed=3, **kwargs))
+        assert inst.pair.n_max <= MAX_N_MAX
+        assert document_to_instance(json.loads(dumps(inst))) == inst
 
 
 def test_determinism_bit_identical():

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from floersplit.errors import InvarianceViolation
 from floersplit.qlinalg import (
     Matrix,
+    RunningSpan,
     Subspace,
     image_basis,
     induced_on_quotient,
@@ -22,7 +23,14 @@ from floersplit.qlinalg import (
     trace,
 )
 
-from helpers import dense_kernel_basis, dense_matmul, dense_rref, mat
+from helpers import (
+    dense_kernel_basis,
+    dense_matmul,
+    dense_rref,
+    mat,
+    sparse_scalars,
+    vector_sequences,
+)
 
 
 # -- strategies ------------------------------------------------------
@@ -62,17 +70,6 @@ def test_constructors_refuse_floats_and_bools():
 
 
 # -- products ----------------------------------------------------------
-
-# three in four entries zero, the rest small or with numerator and
-# denominator above 2**100
-above_2_100 = st.integers(2**100 + 1, 2**110)
-huge = st.builds(
-    lambda sign, p, q: Fraction(sign * p, q), st.sampled_from([1, -1]), above_2_100, above_2_100
-)
-sparse_scalars = st.tuples(
-    st.integers(0, 3), st.one_of(entries, huge)
-).map(lambda t: t[1] if t[0] == 0 else 0)
-
 
 def sparse_block(rows, cols):
     return st.lists(
@@ -196,6 +193,62 @@ def test_kernel_equals_dense_reference(m):
     got = kernel_basis(m)
     assert got == dense_kernel_basis(m)
     assert all(type(x) is Fraction for r in got.basis.entries for x in r)
+
+
+# -- running span --------------------------------------------------------
+
+
+def _stacked_rows(dim, vectors):
+    return Matrix(len(vectors), dim, tuple(vectors))
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_sequences(), st.data())
+def test_running_span_equals_stacked_elimination(seq, data):
+    """Each step against the added vectors stacked: ``coordinates`` equals
+    ``solve`` on them as columns (None included), ``add`` is True exactly
+    when the rank grows, and the rows are the reference RREF's nonzero rows."""
+    dim, vectors = seq
+    span = RunningSpan(dim)
+    for n, v in enumerate(vectors + [None]):
+        before = _stacked_rows(dim, vectors[:n])
+        probe = v if v is not None else tuple(data.draw(st.lists(sparse_scalars, min_size=dim, max_size=dim)))
+        x = solve(before.transpose(), Matrix(dim, 1, tuple((e,) for e in probe)))
+        got = span.coordinates(probe)
+        if x is None:
+            assert got is None
+        else:
+            assert [got.get(i, 0) for i in range(n)] == list(x.col(0))
+            assert all(type(c) is Fraction for c in got.values())
+            rebuilt = [sum((c * vectors[i][j] for i, c in got.items()), Fraction(0)) for j in range(dim)]
+            assert rebuilt == list(probe)
+        if v is None:
+            break
+        grew = span.add(n, v)
+        ref = dense_rref(_stacked_rows(dim, vectors[: n + 1]))
+        assert grew == (ref.rank > dense_rref(before).rank)
+        assert span.rank == ref.rank
+        assert span.rows == Matrix(ref.rank, dim, ref.echelon.entries[: ref.rank])
+        assert all(type(e) is Fraction for r in span.rows.entries for e in r)
+        assert span.subspace() == Subspace.span(dim, _stacked_rows(dim, vectors[: n + 1]).transpose())
+
+
+def test_running_span_small_cases():
+    empty = RunningSpan(0)
+    assert not empty.add("a", ()) and empty.rank == 0 and empty.coordinates(()) == {}
+    assert empty.rows == Matrix.zeros(0, 0) and empty.subspace() == Subspace.zero(0)
+    big = Fraction(2**101 + 1, 2**103 - 1)
+    span = RunningSpan(3)
+    assert span.coordinates((Fraction(1), Fraction(0), Fraction(0))) is None
+    assert span.add("u", (Fraction(0), big, 2 * big))
+    assert not span.add("again", (Fraction(0), -big, -2 * big))
+    assert span.add("w", (Fraction(1, 3), Fraction(1), Fraction(0)))
+    assert span.rank == 2
+    assert span.rows == mat([[1, 0, -6], [0, 1, 2]])
+    assert span.coordinates((Fraction(1, 3), 1 + big, 2 * big)) == {"u": 1, "w": 1}
+    assert span.coordinates((Fraction(0), Fraction(0), Fraction(1))) is None
+    with pytest.raises(ValueError):
+        span.add("short", (Fraction(1),))
 
 
 # -- kernel / image ----------------------------------------------------

@@ -13,6 +13,7 @@ from floersplit import catalog
 from floersplit.cli import main
 from floersplit.cobordism import verify_splitting
 from floersplit.errors import DichotomyViolation, ParseError, RelationViolation, UnknownEntry
+from floersplit.froyshov import MAX_N_MAX
 from floersplit.gen import GenConfig, gen_chain_instance, gen_instance
 from floersplit.instance import HOMOLOGY, Instance
 from floersplit.qlinalg import Matrix
@@ -167,6 +168,48 @@ def test_misshapen_block_error_names_the_shape_not_the_data(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.splitlines() == ["error: cobordism.blocks[1]: expected 300 rows, got list of length 299"]
     assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize(
+    "entry", ["7" * 100_000, "x" * 100_000, "1/" + "0" * 100_000],
+    ids=["100000-digit-string", "100000-char-junk", "zero-denominator"],
+)
+def test_bad_rational_error_names_the_length_not_the_string(entry, tmp_path, capsys):
+    doc = copy.deepcopy(catalog.get("akbulut_cork_mapping_torus").document)
+    doc["cobordism"]["blocks"][1][0][0] = entry
+    path = tmp_path / "long-entry.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: bad rational: str of length ")
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("level", ["cohomology-level", "chain-level"])
+def test_n_max_past_the_cap_is_refused_before_members_are_built(level, tmp_path, capsys):
+    import tracemalloc
+
+    if level == "cohomology-level":
+        doc = copy.deepcopy(catalog.get("sigma_2_7_13_mapping_torus").document)
+        doc["special"].update(n_max=200_000, deltas=[], deltas_prime=[])
+    else:
+        doc = instance_to_document(gen_chain_instance(GenConfig(seed=2, chain_level=True)))
+        doc["n_max"] = 200_000
+    path = tmp_path / "long-family.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=f"n_max must be an integer from [01] to {MAX_N_MAX}"):
+            load(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # no family member was built
+    assert main(["verify", str(path)]) == 3
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    if level == "cohomology-level":
+        doc["special"]["n_max"] = MAX_N_MAX
+        assert document_to_instance(doc).pair.n_max == MAX_N_MAX
 
 
 def _matrices_in(x):
@@ -465,6 +508,23 @@ def test_cli_sweep_seed_range_is_capped(monkeypatch, capsys):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # no task list was built
+
+
+@pytest.mark.parametrize("mix", ["nan,1,1", "inf,1,1", "1e308,1e308,1e308"])
+def test_cli_sweep_non_finite_case_mix_is_a_validation_error(mix, capsys):
+    assert main(["sweep", "--seeds", "1..3", "--case-mix", mix]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "validation error: ValidationError: case_mix needs finite weights with a finite total"
+    ]
+
+
+def test_cli_sweep_n_max_past_the_cap_is_a_validation_error(capsys):
+    assert main(["sweep", "--seeds", "1..1", "--nmax", str(MAX_N_MAX + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("validation error: ValidationError: n_max ")
 
 
 def test_cli_sweep_empty_instances(capsys):
