@@ -41,16 +41,11 @@ from .froyshov import (
     froyshov_h,
 )
 from .cobordism import (
-    CobordismMap,
     RelationReport,
     SplittingVerdict,
     validate_relations,
     reduced_induced,
-    lambda_fo,
-    h_of_x,
     verify_splitting,
-    trace_case1,
-    trace_case2,
     trace_towers,
     trace_refinement,
 )

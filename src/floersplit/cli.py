@@ -21,8 +21,6 @@ from . import catalog, serialize
 from .cobordism import (
     CaseTrace,
     SplittingVerdict,
-    trace_case1,
-    trace_case2,
     trace_refinement,
     trace_towers,
     validate_instance,
@@ -186,12 +184,7 @@ def cmd_trace(args) -> int:
     instance = _view(_load_target(args.target), args.convention)
     validate_instance(instance)  # loading only parses; the towers replay validated data only
     try:
-        if args.tower in (0, 4):
-            tr = trace_case1(instance)
-        elif args.tower in (1, 5):
-            tr = trace_case2(instance)
-        else:
-            tr = trace_towers(instance)
+        tr = trace_towers(instance, args.tower)
     except ValueError as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

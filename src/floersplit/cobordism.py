@@ -1,9 +1,9 @@
 """Cobordism-induced maps and the splitting verdict.
 
-Validates the relations tying a degree-preserving self-map to the special
-families, extracts the correction coefficients, induces the map on the
-reduced theory, computes the Lefschetz-number invariants, checks the two
-splitting identities, and replays the filtration towers step by step.
+Validates the relations tying the instance's map ``Instance.w`` to the
+special families, extracts the correction coefficients, induces the map
+on the reduced theory, computes its two Lefschetz numbers once each,
+checks the two splitting identities, and replays the filtration towers.
 
 Both families run through one relation loop: delta_n o W = delta_n +
 sum a_{i,n} delta_i is the transpose of W o delta'_n = delta'_n + sum
@@ -19,7 +19,7 @@ is applied only to the reported numbers.
 The replay reads the one tower walk of ``froyshov.tower``: a kernel tower
 in degrees 0 and 4 (trace of the map restricted to each stage) and a span
 tower in degrees 1 and 5 (trace induced on each quotient), with the same
-per-step and end identities checked on both kinds.
+per-step and end identities checked on both kinds by ``trace_towers``.
 """
 
 from __future__ import annotations
@@ -56,18 +56,6 @@ from .qlinalg import (
     restrict,
     trace,
 )
-
-
-@dataclass(frozen=True)
-class CobordismMap:
-    """Degree-preserving self-map of a graded cohomology space."""
-
-    w: GradedMap
-    label: str = "W"
-
-    def __post_init__(self):
-        if self.w.shift != 0 or self.w.source != self.w.target:
-            raise ValueError("cobordism map must be a degree-preserving endomap")
 
 
 @dataclass(frozen=True)
@@ -124,8 +112,8 @@ def _defects(fam: Family, block: Matrix, members) -> list[tuple[Fraction, ...]]:
     return [out.col(j) for j in range(len(members))]
 
 
-def validate_relations(w: CobordismMap, sp: SpecialPair) -> RelationReport:
-    """Check the relations between the map and both special families.
+def validate_relations(w: GradedMap, sp: SpecialPair) -> RelationReport:
+    """Check the relations between the cobordism map and both special families.
 
     The defects of the members acting at one degree come from one product
     with its block (see ``_defects``).  The defect of member n must lie
@@ -144,7 +132,7 @@ def validate_relations(w: CobordismMap, sp: SpecialPair) -> RelationReport:
         defects: list = [None] * len(members)
         spans = []  # the lower members of each parity
         for parity in range(min(2, len(members))):
-            block = w.w.block(fam.degree(parity))
+            block = w.block(fam.degree(parity))
             defects[parity::2] = _defects(fam, block, members[parity::2])
             spans.append(RunningSpan(block.rows))
         coeffs: dict[tuple[int, int], Fraction] = {}
@@ -176,13 +164,13 @@ def validate_relations(w: CobordismMap, sp: SpecialPair) -> RelationReport:
     )
 
 
-def reduced_induced(w: CobordismMap, red: ReducedResult) -> GradedMap:
+def reduced_induced(w: GradedMap, red: ReducedResult) -> GradedMap:
     """Map induced on Z/B, after checking both subspaces are invariant."""
     blocks = []
     for q in range(8):
         z, bq, qs = red.z[q], red.b[q], red.quotients[q]
         try:
-            on_z = restrict(w.w.block(q), z)
+            on_z = restrict(w.block(q), z)
         except InvarianceViolation:
             raise InvarianceViolation(f"W does not preserve Z^{q}") from None
         try:
@@ -192,28 +180,17 @@ def reduced_induced(w: CobordismMap, red: ReducedResult) -> GradedMap:
     return GradedMap(red.hf_red, red.hf_red, 0, tuple(blocks))
 
 
-def validate_instance(instance: Instance) -> tuple[CobordismMap, ReducedResult, GradedMap]:
+def validate_instance(instance: Instance) -> tuple[ReducedResult, GradedMap]:
     """Run the validation an instance must pass before its verdict.
 
-    Checks the relations (raising the typed error), the containment of B
-    in Z, and the invariance needed to induce the map on the reduced
-    theory; the family shapes were checked when the instance was built.
-    Returns the map, the reduced theory and the induced map W-hat.
+    Checks the relations (raising the typed error) and the invariance
+    needed to induce the map on the reduced theory; the map's shape and
+    the family shapes were checked when the instance was built.  Returns
+    the reduced theory and the induced map W-hat.
     """
-    w = CobordismMap(instance.w, instance.w_label)
-    validate_relations(w, instance.pair).raise_if_invalid()
+    validate_relations(instance.w, instance.pair).raise_if_invalid()
     red = reduced(instance.space, instance.pair)
-    return w, red, reduced_induced(w, red)
-
-
-def lambda_fo(w: CobordismMap) -> Fraction:
-    """Minus half the Lefschetz number (cohomology convention)."""
-    return -lefschetz(w.w) / 2
-
-
-def h_of_x(w: CobordismMap, w_hat: GradedMap) -> Fraction:
-    """Half the full minus the reduced Lefschetz number (cohomology convention)."""
-    return (lefschetz(w.w) - lefschetz(w_hat)) / 2
+    return red, reduced_induced(instance.w, red)
 
 
 @dataclass(frozen=True)
@@ -304,33 +281,22 @@ def _replay_tower(block: Matrix, degree: int, members) -> TowerLog:
     )
 
 
-def _replay_case(instance: Instance, degrees) -> CaseTrace:
+def trace_towers(instance: Instance, degree: int | None = None) -> CaseTrace:
+    """Replay the towers of one kind: the kernel towers in degrees 0 and 4
+    (vanishing vector side) or the span towers in 1 and 5 (vanishing
+    functional side).  ``degree`` picks the kind of its tower; by default
+    the kind matching the instance's case."""
     sp = instance.pair
+    kernel = sp.case is not Case.DELTA_PRIME_SIDE if degree is None else degree in (0, 4)
+    if kernel and sp.case is Case.DELTA_PRIME_SIDE:
+        raise ValueError("kernel-tower replay needs a vanishing delta' family")
+    if not kernel and sp.case is Case.DELTA_SIDE:
+        raise ValueError("span-tower replay needs a vanishing delta family")
+    degrees = (0, 4) if kernel else (1, 5)
     return CaseTrace(
         sp.case,
         tuple(_replay_tower(instance.w.block(q), q, tower_members(sp, q)) for q in degrees),
     )
-
-
-def trace_case1(instance: Instance) -> CaseTrace:
-    """Replay the kernel towers in degrees 0 and 4 (vanishing vector side)."""
-    if instance.pair.case is Case.DELTA_PRIME_SIDE:
-        raise ValueError("kernel-tower replay needs a vanishing delta' family")
-    return _replay_case(instance, (0, 4))
-
-
-def trace_case2(instance: Instance) -> CaseTrace:
-    """Replay the span towers in degrees 1 and 5 (vanishing functional side)."""
-    if instance.pair.case is Case.DELTA_SIDE:
-        raise ValueError("span-tower replay needs a vanishing delta family")
-    return _replay_case(instance, (1, 5))
-
-
-def trace_towers(instance: Instance) -> CaseTrace:
-    """Replay the towers matching the instance's case."""
-    if instance.pair.case is Case.DELTA_PRIME_SIDE:
-        return trace_case2(instance)
-    return trace_case1(instance)
 
 
 @dataclass(frozen=True)
@@ -373,11 +339,11 @@ def verify_splitting(
     so with ``raise_on_failure`` it is reported as TheoremCounterexample;
     seeing one means an engine bug, not interesting mathematics.
     """
-    w, red, w_hat = validate_instance(instance)
-    lef_w_coh = lefschetz(w.w)
+    red, w_hat = validate_instance(instance)
+    lef_w_coh = lefschetz(instance.w)  # both in the cohomology convention
     lef_hat_coh = lefschetz(w_hat)
-    lam = lambda_fo(w)
-    hx = h_of_x(w, w_hat)
+    lam = -lef_w_coh / 2
+    hx = (lef_w_coh - lef_hat_coh) / 2
     hy = froyshov_h(instance.space, red)
 
     conv = instance.convention
@@ -425,10 +391,8 @@ class RefinementReport:
 
 
 def trace_refinement(instance: Instance) -> RefinementReport:
-    sp = instance.pair
-    w = CobordismMap(instance.w, instance.w_label)
-    red = reduced(instance.space, sp)
-    w_hat = reduced_induced(w, red)
-    diffs = tuple(trace(w.w.block(q)) - trace(w_hat.block(q)) for q in range(8))
+    red = reduced(instance.space, instance.pair)
+    w_hat = reduced_induced(instance.w, red)
+    diffs = tuple(trace(instance.w.block(q)) - trace(w_hat.block(q)) for q in range(8))
     expected = tuple(instance.space.dim(q) - red.hf_red.dim(q) for q in range(8))
     return RefinementReport(diffs, expected)

@@ -30,10 +30,6 @@ class DichotomyViolation(ValidationError):
     """Both special families have a nonzero member on cohomology."""
 
 
-class InclusionViolation(ValidationError):
-    """B^q is not contained in Z^q in some degree."""
-
-
 class RelationViolation(ValidationError):
     """A degree-zero cobordism relation fails exactly."""
 

@@ -30,7 +30,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
-from .errors import DichotomyViolation, InclusionViolation, ValidationError
+from .errors import DichotomyViolation, ValidationError
 from .graded import CochainComplex, CohomologyResult, GradedMap, GradedSpace, euler, induced_map
 from .qlinalg import Matrix, QuotientSpace, RunningSpan, Subspace, kernel_basis, quotient
 
@@ -292,25 +292,19 @@ class ReducedResult:
     quotients: tuple[QuotientSpace, ...]
 
 
-def reduced_from_subspaces(
-    h: GradedSpace, z: tuple[Subspace, ...], b: tuple[Subspace, ...]
-) -> ReducedResult:
-    quots, dims = [], []
-    for q in range(8):
-        if z[q].ambient_dim != h.dim(q) or b[q].ambient_dim != h.dim(q):
-            raise ValidationError(f"subspace ambient mismatch at degree {q}")
-        if not z[q].contains(b[q]):
-            raise InclusionViolation(f"B^{q} is not contained in Z^{q}")
-        b_in_z = z[q].coordinates_of(b[q].basis)
-        qs = quotient(z[q].dim, Subspace.span(z[q].dim, b_in_z))
-        quots.append(qs)
-        dims.append(qs.dim)
-    return ReducedResult(tuple(z), tuple(b), GradedSpace(tuple(dims)), tuple(quots))
-
-
 def reduced(h: GradedSpace, sp: SpecialPair) -> ReducedResult:
-    """The reduced theory Z/B determined by a special pair."""
-    return reduced_from_subspaces(h, z_subspaces(h, sp), b_subspaces(h, sp))
+    """The reduced theory Z/B determined by a special pair.
+
+    B^q lies in Z^q by the degrees alone: Z^q is the whole space wherever
+    B^q is nonzero (degrees 1 and 5), and B^q is zero wherever Z^q is cut
+    down (degrees 0 and 4), so B^q always has coordinates in Z^q.
+    """
+    z, b = z_subspaces(h, sp), b_subspaces(h, sp)
+    quots = tuple(
+        quotient(z[q].dim, Subspace.span(z[q].dim, z[q].coordinates_of(b[q].basis)))
+        for q in range(8)
+    )
+    return ReducedResult(z, b, GradedSpace(tuple(qs.dim for qs in quots)), quots)
 
 
 def froyshov_h(h: GradedSpace, red: ReducedResult) -> Fraction:

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cobordism import CobordismMap, validate_relations
+from .cobordism import validate_relations
 from .errors import Infeasible, ValidationError
 from .froyshov import (
     FAMILIES,
@@ -47,6 +47,14 @@ from .qlinalg import Matrix, RunningSpan, kernel_basis, solve
 
 _CASES = (Case.DELTA_SIDE, Case.DELTA_PRIME_SIDE, Case.BOTH_ZERO)
 
+# Drawn integer entries, planted coefficients and member multiples lie in
+# [-ENTRY_BOUND, ENTRY_BOUND].
+ENTRY_BOUND = 3
+
+# The largest max_dim a config accepts: blocks are up to max_dim x
+# max_dim (chain level about twice that), built as dense exact matrices.
+MAX_GEN_DIM = 64
+
 
 @dataclass(frozen=True)
 class GenConfig:
@@ -56,11 +64,12 @@ class GenConfig:
     case_mix: tuple[float, float, float] = (2.0, 2.0, 1.0)
     periodic: bool = False
     chain_level: bool = False
-    entry_bound: int = 3
 
     def __post_init__(self):
         if self.max_dim < 0:
             raise ValidationError("max_dim must be nonnegative")
+        if self.max_dim > MAX_GEN_DIM:
+            raise ValidationError(f"max_dim {self.max_dim} is past {MAX_GEN_DIM}")
         if self.n_max < 1:
             raise ValidationError("n_max must be at least 1")
         # the largest n_max an emitted document can carry: chain-level
@@ -84,17 +93,15 @@ class GenConfig:
             finite = False
         if not finite:
             raise ValidationError("case_mix needs finite weights with a finite total")
-        if self.entry_bound < 1:
-            raise ValidationError("entry_bound must be positive")
 
 
-def _rand_matrix(rng: random.Random, rows: int, cols: int, bound: int) -> Matrix:
+def _rand_matrix(rng: random.Random, rows: int, cols: int) -> Matrix:
     return Matrix.from_rows(
-        [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)], cols=cols
+        [[rng.randint(-ENTRY_BOUND, ENTRY_BOUND) for _ in range(cols)] for _ in range(rows)], cols=cols
     )
 
 
-def _draw_member(rng, shape, bound, prev):
+def _draw_member(rng, shape, prev):
     """One family member: usually random, sometimes zero or a multiple of
     an earlier member so that inactive tower steps and underdetermined
     coefficient solves actually occur in sweeps."""
@@ -104,12 +111,12 @@ def _draw_member(rng, shape, bound, prev):
         return Matrix.zeros(rows, cols)
     nonzero_prev = [m for m in prev if not m.is_zero]
     if roll < 0.33 and nonzero_prev:
-        k = rng.randint(1, bound) * rng.choice((-1, 1))
+        k = rng.randint(1, ENTRY_BOUND) * rng.choice((-1, 1))
         return rng.choice(nonzero_prev).scale(k)
-    return _rand_matrix(rng, rows, cols, bound)
+    return _rand_matrix(rng, rows, cols)
 
 
-def _solve_member_block(rng, dim, members, bound, planted):
+def _solve_member_block(rng, dim, members, planted):
     """Solve member_n @ B = member_n + sum of planted * lower members.
 
     ``members`` are (n, row) pairs of one parity, ascending.  Members in
@@ -118,7 +125,7 @@ def _solve_member_block(rng, dim, members, bound, planted):
     lower same-parity indices, and recorded in ``planted``.
     """
     if not members:
-        return _rand_matrix(rng, dim, dim, bound)
+        return _rand_matrix(rng, dim, dim)
     span = RunningSpan(dim)
     d_mat = Matrix.zeros(0, dim)
     r_mat = Matrix.zeros(0, dim)
@@ -126,7 +133,7 @@ def _solve_member_block(rng, dim, members, bound, planted):
         if span.add(n, row.entries[0]):
             rhs = row
             for i, row_i in members[:idx]:
-                c = rng.randint(-bound, bound)
+                c = rng.randint(-ENTRY_BOUND, ENTRY_BOUND)
                 planted[(i, n)] = c
                 rhs = rhs + row_i.scale(c)
             d_mat = d_mat.vstack(row)
@@ -134,17 +141,17 @@ def _solve_member_block(rng, dim, members, bound, planted):
     part = solve(d_mat, r_mat)  # never None: the included rows are independent
     ker = kernel_basis(d_mat)
     if ker.dim:
-        part = part + ker.basis @ _rand_matrix(rng, ker.dim, dim, bound)
+        part = part + ker.basis @ _rand_matrix(rng, ker.dim, dim)
     return part
 
 
-def _solve_vector_block(rng, dim, members, bound, planted):
+def _solve_vector_block(rng, dim, members, planted):
     """Solve B @ member_n = member_n + sum of planted * lower members."""
     rows = [(n, col.transpose()) for n, col in members]
-    return _solve_member_block(rng, dim, rows, bound, planted).transpose()
+    return _solve_member_block(rng, dim, rows, planted).transpose()
 
 
-def _w_blocks(rng, space, pair, bound, periodic):
+def _w_blocks(rng, space, pair, periodic):
     """Cobordism blocks with the relations planted by construction.
 
     The blocks a family acts on are solved from its relations (see
@@ -165,7 +172,7 @@ def _w_blocks(rng, space, pair, bound, periodic):
         degrees, planted, solver = (), None, None
     solved: dict[int, Matrix] = {}
     for q in degrees[:1] if periodic else degrees:
-        solved[q] = solver(rng, space.dim(q), tower_members(pair, q), bound, planted)
+        solved[q] = solver(rng, space.dim(q), tower_members(pair, q), planted)
         if periodic:
             solved[(q + 4) % 8] = solved[q]
             # copy even-pair coefficients onto the linked odd pairs
@@ -177,11 +184,11 @@ def _w_blocks(rng, space, pair, bound, periodic):
         elif q in solved:
             blocks.append(solved[q])
         else:
-            blocks.append(_rand_matrix(rng, space.dim(q), space.dim(q), bound))
+            blocks.append(_rand_matrix(rng, space.dim(q), space.dim(q)))
     return blocks, planted_a, planted_b
 
 
-def _draw_pair(rng, space, case, n_eff, bound, periodic):
+def _draw_pair(rng, space, case, n_eff, periodic):
     """Draw the family that ``case`` allows; the other stays zero."""
     families = []
     for fam in FAMILIES:
@@ -192,7 +199,7 @@ def _draw_pair(rng, space, case, n_eff, bound, periodic):
                 members[n] = members[n - 1]
             else:
                 prev = [members[i] for i in range(n % 2, n, 2)]
-                members[n] = _draw_member(rng, shapes[n], bound, prev)
+                members[n] = _draw_member(rng, shapes[n], prev)
         families.append(tuple(members))
     deltas, primes = families
     # an unlucky draw may leave the active family all zero; retag
@@ -215,7 +222,6 @@ def gen_instance(cfg: GenConfig) -> Instance:
     if cfg.chain_level:
         return gen_chain_instance(cfg)
     rng = random.Random(cfg.seed)
-    bound = cfg.entry_bound
     dims = [rng.randint(0, cfg.max_dim) for _ in range(8)]
     if cfg.periodic:
         dims[4:] = dims[:4]
@@ -224,9 +230,9 @@ def gen_instance(cfg: GenConfig) -> Instance:
     n_eff = cfg.n_max
     if cfg.periodic and n_eff % 2 == 0:
         n_eff += 1  # keep the linked towers the same length
-    sp = _draw_pair(rng, space, case, n_eff, bound, cfg.periodic)
+    sp = _draw_pair(rng, space, case, n_eff, cfg.periodic)
 
-    blocks, planted_a, planted_b = _w_blocks(rng, space, sp, bound, cfg.periodic)
+    blocks, planted_a, planted_b = _w_blocks(rng, space, sp, cfg.periodic)
     w = GradedMap(space, space, 0, tuple(blocks))
 
     inst = Instance(
@@ -244,7 +250,7 @@ def gen_instance(cfg: GenConfig) -> Instance:
             **_planted_metadata(planted_a, planted_b),
         },
     )
-    report = validate_relations(CobordismMap(w), sp)
+    report = validate_relations(w, sp)
     if not report.ok:
         raise Infeasible(f"generated instance failed validation (seed {cfg.seed})")
     return inst
@@ -258,30 +264,25 @@ def _unimodular(rng: random.Random, n: int):
     if n == 0:
         return Matrix.identity(0), Matrix.identity(0)
     p = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    ops = []
+    inv = [row[:] for row in p]
+    # each row operation E on p (p <- E p) is undone on the right of inv
+    # (inv <- inv E^-1, the inverse column operation), so inv p stays I
     for _ in range(2 * n + 2):
         kind = rng.random()
         i, j = rng.randrange(n), rng.randrange(n)
         if kind < 0.7 and i != j:
             c = rng.randint(-2, 2)
-            ops.append(("shear", i, j, c))
             for k in range(n):
                 p[i][k] += c * p[j][k]
+                inv[k][j] -= c * inv[k][i]
         elif kind < 0.9 and i != j:
-            ops.append(("swap", i, j, 0))
             p[i], p[j] = p[j], p[i]
+            for r in inv:
+                r[i], r[j] = r[j], r[i]
         else:
-            ops.append(("neg", i, 0, 0))
             p[i] = [-x for x in p[i]]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for kind, i, j, c in reversed(ops):
-        if kind == "shear":
-            for k in range(n):
-                inv[i][k] -= c * inv[j][k]
-        elif kind == "swap":
-            inv[i], inv[j] = inv[j], inv[i]
-        else:
-            inv[i] = [-x for x in inv[i]]
+            for r in inv:
+                r[i] = -r[i]
 
     def mk(rows):
         return Matrix(n, n, tuple(tuple(r) for r in rows))
@@ -289,14 +290,14 @@ def _unimodular(rng: random.Random, n: int):
     return mk(p), mk(inv)
 
 
-def _split_chain_map(rng, a, h, cf, shift, hh_blocks, bound):
+def _split_chain_map(rng, a, h, cf, shift, hh_blocks):
     """Chain map in the split basis: per degree [acyclic | image | harmonic].
 
     The image part is forced to follow the acyclic part one degree down
     and three sub-blocks vanish; everything else is free.  The harmonic
     diagonal is prescribed where a cohomology-level block was solved.
     """
-    aa = {q: _rand_matrix(rng, a[(q + shift) % 8], a[q], bound) for q in range(8)}
+    aa = {q: _rand_matrix(rng, a[(q + shift) % 8], a[q]) for q in range(8)}
     blocks = []
     for q in range(8):
         t = (q + shift) % 8
@@ -311,12 +312,12 @@ def _split_chain_map(rng, a, h, cf, shift, hh_blocks, bound):
 
         hh = hh_blocks.get(q)
         if hh is None:
-            hh = _rand_matrix(rng, h[t], h[q], bound)
+            hh = _rand_matrix(rng, h[t], h[q])
         put(aa[q], 0, 0)
-        put(_rand_matrix(rng, bt, a[q], bound), a[t], 0)
-        put(_rand_matrix(rng, h[t], a[q], bound), a[t] + bt, 0)
+        put(_rand_matrix(rng, bt, a[q]), a[t], 0)
+        put(_rand_matrix(rng, h[t], a[q]), a[t] + bt, 0)
         put(aa[(q - 1) % 8], a[t], a[q])  # image slot follows the acyclic part below
-        put(_rand_matrix(rng, bt, h[q], bound), a[t], a[q] + bq)
+        put(_rand_matrix(rng, bt, h[q]), a[t], a[q] + bq)
         put(hh, a[t] + bt, a[q] + bq)
         blocks.append(Matrix(rows, cols, tuple(tuple(r) for r in m)))
     return blocks
@@ -331,7 +332,6 @@ def _block_of(m: Matrix, a, h, cf, q, shift):
 def gen_chain_instance(cfg: GenConfig) -> Instance:
     """Deterministic-in-seed chain-level instance with planted cohomology."""
     rng = random.Random(cfg.seed)
-    bound = cfg.entry_bound
     amax = max(1, cfg.max_dim // 2)
     a = [rng.randint(0, amax) for _ in range(8)]
     h = [rng.randint(0, cfg.max_dim) for _ in range(8)]
@@ -354,14 +354,14 @@ def gen_chain_instance(cfg: GenConfig) -> Instance:
     # degree +4 operator; an identity harmonic diagonal in periodic mode
     # links the towers so the reduced theory mirrors too
     v_hh = {q: Matrix.identity(h[q]) for q in range(8)} if cfg.periodic else {}
-    v_blocks = _split_chain_map(rng, a, h, cf, 4, v_hh, bound)
+    v_blocks = _split_chain_map(rng, a, h, cf, 4, v_hh)
     vhh = [_block_of(v_blocks[q], a, h, cf, q, 4) for q in range(8)]
 
     # special data: one family's class seed is zeroed, fixing the dichotomy
-    delta_chain = [rng.randint(-bound, bound) for _ in range(cf[4])]
+    delta_chain = [rng.randint(-ENTRY_BOUND, ENTRY_BOUND) for _ in range(cf[4])]
     for i in range(a[3]):
         delta_chain[a[4] + i] = 0  # must kill coboundaries
-    prime_chain = [rng.randint(-bound, bound) for _ in range(cf[1])]
+    prime_chain = [rng.randint(-ENTRY_BOUND, ENTRY_BOUND) for _ in range(cf[1])]
     for i in range(a[1]):
         prime_chain[i] = 0  # must be a cocycle
     if case is not Case.DELTA_SIDE:
@@ -377,8 +377,8 @@ def gen_chain_instance(cfg: GenConfig) -> Instance:
     p0 = Matrix.column([prime_chain[cf[1] - h[1] + i] for i in range(h[1])])
     deltas, primes = krylov_families(d0, p0, vhh, h, cfg.n_max)
     pair = SpecialPair(len(deltas) - 1, tuple(deltas), tuple(primes), derive_case(deltas, primes))
-    w_hh, planted_a, planted_b = _w_blocks(rng, GradedSpace.of(h), pair, bound, cfg.periodic)
-    w_blocks = _split_chain_map(rng, a, h, cf, 0, dict(enumerate(w_hh)), bound)
+    w_hh, planted_a, planted_b = _w_blocks(rng, GradedSpace.of(h), pair, cfg.periodic)
+    w_blocks = _split_chain_map(rng, a, h, cf, 0, dict(enumerate(w_hh)))
 
     # conjugate everything by one unimodular change of basis per degree
     ps, pinvs = [], []
@@ -424,7 +424,7 @@ def gen_chain_instance(cfg: GenConfig) -> Instance:
             **_planted_metadata(planted_a, planted_b),
         },
     )
-    report = validate_relations(CobordismMap(w), pair_induced)
+    report = validate_relations(w, pair_induced)
     if not report.ok:
         raise Infeasible(f"generated chain instance failed validation (seed {cfg.seed})")
     return inst
@@ -436,7 +436,7 @@ def product_cobordism(instance: Instance) -> Instance:
     return instance.with_w(GradedMap.identity(instance.space), "product", chain_ident)
 
 
-def redraw_cobordism(instance: Instance, seed: int, entry_bound: int = 3) -> Instance:
+def redraw_cobordism(instance: Instance, seed: int) -> Instance:
     """Fresh valid cobordism map for the same space and special pair.
 
     Used to exercise independence of the reported invariants from the
@@ -444,9 +444,9 @@ def redraw_cobordism(instance: Instance, seed: int, entry_bound: int = 3) -> Ins
     solution of the relation system is drawn.
     """
     sp, space = instance.pair, instance.space
-    blocks, _, _ = _w_blocks(random.Random(seed), space, sp, entry_bound, periodic=False)
+    blocks, _, _ = _w_blocks(random.Random(seed), space, sp, periodic=False)
     w = GradedMap(space, space, 0, tuple(blocks))
-    if not validate_relations(CobordismMap(w), sp).ok:
+    if not validate_relations(w, sp).ok:
         raise Infeasible(f"redrawn cobordism failed validation (seed {seed})")
     # the fresh map has no chain-level lift, so the result is a plain
     # cohomology-level instance

@@ -31,11 +31,6 @@ SCHEMA_VERSION = "1"
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
-def _doc_degree(q_internal: int, convention: str) -> int:
-    """Document-side index of an internal degree."""
-    return q_internal if convention == COHOMOLOGY else (5 - q_internal) % 8
-
-
 def rational_to_json(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
@@ -92,8 +87,9 @@ def _dims_from_json(obj, where: str) -> GradedSpace:
     return GradedSpace.of(obj)
 
 
-def _family_from_json(doc_special, h_doc: GradedSpace, convention: str, n_max: int):
-    """Parse both families; missing or empty arrays mean all-zero.
+def _family_from_json(doc_special, space: GradedSpace, n_max: int):
+    """Parse both families, sized from the internal-convention ``space``;
+    missing or empty arrays mean all-zero.
 
     Both length checks run first, then the members are parsed in
     increasing n, each n's functional before its vector.
@@ -111,7 +107,7 @@ def _family_from_json(doc_special, h_doc: GradedSpace, convention: str, n_max: i
     families = ([], [])
     for n in range(n_max + 1):
         for fam, raw, members in zip(FAMILIES, raws, families):
-            rows, cols = fam.shape(h_doc.dims[_doc_degree(fam.degree(n), convention)])
+            rows, cols = fam.shape(space.dim(fam.degree(n)))
             if raw:
                 members.append(matrix_from_json(raw[n], rows, cols, f"{fam.key}[{n}]"))
             else:
@@ -162,27 +158,22 @@ def document_to_instance(doc: Any) -> Instance:
             case = Case(case_str)
         except ValueError:
             raise ParseError(f"unknown case {case_str!r}") from None
-        deltas, primes = _family_from_json(special, h_doc, convention, n_max)
-        pair, chain = SpecialPair(n_max, deltas, primes, case), {}
         space, w = relabel(h_doc, convention), relabel(w_doc, convention)
+        deltas, primes = _family_from_json(special, space, n_max)
+        pair, chain = SpecialPair(n_max, deltas, primes, case), {}
     else:
         cf_doc = _dims_from_json(spaces.get("cf"), "spaces.cf")
         d_shift_doc = 1 if convention == COHOMOLOGY else 7
         d_doc = _graded_map_from_json(doc.get("differential"), cf_doc, d_shift_doc, "differential")
         v_doc = _graded_map_from_json(doc.get("v"), cf_doc, 4, "v")
         w_doc = _graded_map_from_json(cob["blocks"], cf_doc, 0, "cobordism.blocks")
-        delta = matrix_from_json(
-            doc.get("delta"), 1, cf_doc.dims[_doc_degree(4, convention)], "delta"
-        )
-        delta_prime = matrix_from_json(
-            doc.get("delta_prime"), cf_doc.dims[_doc_degree(1, convention)], 1, "delta_prime"
-        )
+        cf_space = relabel(cf_doc, convention)
+        delta = matrix_from_json(doc.get("delta"), 1, cf_space.dim(4), "delta")
+        delta_prime = matrix_from_json(doc.get("delta_prime"), cf_space.dim(1), 1, "delta_prime")
         n_max = doc.get("n_max", 4)
         if not isinstance(n_max, int) or isinstance(n_max, bool) or not 1 <= n_max <= MAX_N_MAX:
             raise ParseError(f"n_max must be an integer from 1 to {MAX_N_MAX}")
-        cf_space, d_map, v_map, w_chain = (
-            relabel(x, convention) for x in (cf_doc, d_doc, v_doc, w_doc)
-        )
+        d_map, v_map, w_chain = (relabel(x, convention) for x in (d_doc, v_doc, w_doc))
         cx = CochainComplex(cf_space, d_map)
         cs = ChainSpecial(delta, delta_prime, v_map)
         coh = cohomology(cx)

@@ -9,12 +9,7 @@ import pytest
 
 from floersplit import catalog
 from floersplit.cobordism import (
-    CobordismMap,
-    h_of_x,
-    lambda_fo,
     reduced_induced,
-    trace_case1,
-    trace_case2,
     trace_refinement,
     trace_towers,
     validate_relations,
@@ -38,10 +33,6 @@ from helpers import blocks_map, graded_space, mat, perturb_w
 from test_froyshov import _pair, _sigma_like_pair, _sigma_like_space
 
 
-def _identity_cob(space):
-    return CobordismMap(GradedMap.identity(space), "id")
-
-
 def _instance(space, pair, w, convention=COHOMOLOGY):
     return Instance(space=space, pair=pair, w=w, convention=convention)
 
@@ -52,7 +43,7 @@ def _instance(space, pair, w, convention=COHOMOLOGY):
 def test_relations_identity_all_zero_coefficients():
     space = _sigma_like_space()
     pair = _sigma_like_pair(space)
-    report = validate_relations(_identity_cob(space), pair)
+    report = validate_relations(GradedMap.identity(space), pair)
     assert report.ok
     assert all(c == 0 for c in report.a.values())
     assert all(c == 0 for c in report.b.values())
@@ -63,14 +54,14 @@ def test_relations_identity_all_zero_coefficients():
 
 def test_relations_sigma_fixture():
     inst = catalog.load_entry("sigma_2_7_13_mapping_torus")
-    report = validate_relations(CobordismMap(inst.w), inst.pair)
+    report = validate_relations(inst.w, inst.pair)
     assert report.ok and all(c == 0 for c in report.a.values())
 
 
 def test_relation_violation_at_zero():
     space = graded_space(0, 0, 0, 0, 1, 0, 0, 0)
     pair = _pair(space, Case.DELTA_SIDE, deltas=[mat([[1]])], n_max=1)
-    w = CobordismMap(blocks_map(space, 0, {4: mat([[2]])}))
+    w = blocks_map(space, 0, {4: mat([[2]])})
     report = validate_relations(w, pair)
     assert not report.ok
     assert report.violations[0].relation == "delta" and report.violations[0].n == 0
@@ -82,7 +73,7 @@ def test_no_solution_for_member_one():
     # no lower odd member exists, so the first odd defect must vanish
     space = graded_space(1, 0, 0, 0, 0, 0, 0, 0)
     pair = _pair(space, Case.DELTA_SIDE, deltas=[Matrix.zeros(1, 0), mat([[1]])], n_max=1)
-    w = CobordismMap(blocks_map(space, 0, {0: mat([[2]])}))
+    w = blocks_map(space, 0, {0: mat([[2]])})
     report = validate_relations(w, pair)
     assert not report.ok
     with pytest.raises(NoSolution):
@@ -92,7 +83,7 @@ def test_no_solution_for_member_one():
 def test_prime_relation_violation():
     space = graded_space(0, 1, 0, 0, 0, 0, 0, 0)
     pair = _pair(space, Case.DELTA_PRIME_SIDE, primes=[Matrix.column([1])], n_max=1)
-    w = CobordismMap(blocks_map(space, 0, {1: mat([[3]])}))
+    w = blocks_map(space, 0, {1: mat([[3]])})
     report = validate_relations(w, pair)
     assert not report.ok and report.violations[0].relation == "delta_prime"
 
@@ -103,7 +94,7 @@ def test_fractional_coefficient_reported():
         space, Case.DELTA_SIDE,
         deltas=[mat([[2, 0]]), Matrix.zeros(1, 0), mat([[0, 1]])], n_max=2,
     )
-    w = CobordismMap(blocks_map(space, 0, {4: mat([[1, 0], [1, 1]])}))
+    w = blocks_map(space, 0, {4: mat([[1, 0], [1, 1]])})
     report = validate_relations(w, pair)
     assert report.ok
     assert report.a[(0, 2)] == Fraction(1, 2)
@@ -118,7 +109,7 @@ def test_nonuniqueness_flagged():
                 Matrix.zeros(1, 0), mat([[0, 0]])],
         n_max=4,
     )
-    report = validate_relations(_identity_cob(space), pair)
+    report = validate_relations(GradedMap.identity(space), pair)
     assert report.ok
     assert 4 in report.nonunique_a and 2 not in report.nonunique_a
 
@@ -135,7 +126,7 @@ def _mirror(w, sp):
     primes = tuple(m.transpose() for m in sp.deltas)
     deltas = tuple(Matrix.zeros(1, 0) for _ in primes)
     pair = SpecialPair(sp.n_max, deltas, primes, derive_case(deltas, primes))
-    return CobordismMap(GradedMap(space, space, 0, tuple(blocks))), pair
+    return GradedMap(space, space, 0, tuple(blocks)), pair
 
 
 def test_relations_mirror_under_transposition():
@@ -146,7 +137,7 @@ def test_relations_mirror_under_transposition():
             if inst.pair.case is not Case.DELTA_SIDE:
                 continue
             for w in (inst.w, perturb_w(inst.w, inst.pair, seed % 2)):
-                rep = validate_relations(CobordismMap(w), inst.pair)
+                rep = validate_relations(w, inst.pair)
                 mir = validate_relations(*_mirror(w, inst.pair))
                 assert mir.b == rep.a and mir.b_integral == rep.a_integral
                 assert mir.nonunique_b == rep.nonunique_a
@@ -166,14 +157,14 @@ def test_reduced_induced_identity():
     space = _sigma_like_space()
     pair = _sigma_like_pair(space)
     red = reduced(space, pair)
-    w_hat = reduced_induced(_identity_cob(space), red)
+    w_hat = reduced_induced(GradedMap.identity(space), red)
     assert w_hat == GradedMap.identity(red.hf_red)
 
 
 def test_reduced_induced_sigma_blocks():
     inst = catalog.load_entry("sigma_2_7_13_mapping_torus")
     red = reduced(inst.space, inst.pair)
-    w_hat = reduced_induced(CobordismMap(inst.w), red)
+    w_hat = reduced_induced(inst.w, red)
     assert w_hat.block(0) == Matrix.identity(2)
     assert w_hat.block(4) == Matrix.identity(2)
     assert w_hat.block(2) == Matrix.identity(2).scale(-1)
@@ -184,7 +175,7 @@ def test_reduced_induced_sigma_blocks():
 def test_reduced_induced_cork_equals_w():
     inst = catalog.load_entry("akbulut_cork_mapping_torus")
     red = reduced(inst.space, inst.pair)
-    w_hat = reduced_induced(CobordismMap(inst.w), red)
+    w_hat = reduced_induced(inst.w, red)
     assert w_hat == inst.w  # reduced equals unreduced here
 
 
@@ -192,7 +183,7 @@ def test_invariance_violation_names_degree():
     space = graded_space(0, 0, 0, 0, 2, 0, 0, 0)
     pair = _pair(space, Case.DELTA_SIDE, deltas=[mat([[1, 0]])], n_max=1)
     red = reduced(space, pair)
-    swap = CobordismMap(blocks_map(space, 0, {4: mat([[0, 1], [1, 0]])}))
+    swap = blocks_map(space, 0, {4: mat([[0, 1], [1, 0]])})
     with pytest.raises(InvarianceViolation, match="Z\\^4"):
         reduced_induced(swap, red)
 
@@ -202,7 +193,7 @@ def test_invariance_violation_names_degree():
 
 def test_lambda_fo_conventions_agree():
     inst = catalog.load_entry("sigma_2_7_13_mapping_torus")
-    assert lambda_fo(CobordismMap(inst.w)) == -2
+    assert -lefschetz(inst.w) / 2 == verify_splitting(inst).lambda_fo == -2
     # the stored map is in the internal convention; a homology view of
     # the same instance reports the same lambda
     assert verify_splitting(dataclasses.replace(inst, convention=HOMOLOGY)).lambda_fo == -2
@@ -211,11 +202,11 @@ def test_lambda_fo_conventions_agree():
 def test_h_of_x_product_equals_invariant():
     inst = catalog.load_entry("product_cobordism_demo")
     red = reduced(inst.space, inst.pair)
-    w = CobordismMap(inst.w)
-    w_hat = reduced_induced(w, red)
+    w_hat = reduced_induced(inst.w, red)
     from floersplit.froyshov import froyshov_h
 
-    assert h_of_x(w, w_hat) == froyshov_h(inst.space, red) == 2
+    assert (lefschetz(inst.w) - lefschetz(w_hat)) / 2 == froyshov_h(inst.space, red) == 2
+    assert verify_splitting(inst).h_x == 2
 
 
 # -- verify_splitting ---------------------------------------------------------------
@@ -250,6 +241,23 @@ def test_verify_propagates_validation_errors():
         verify_splitting(inst)
 
 
+def test_verify_splitting_computes_each_lefschetz_number_once(monkeypatch):
+    import floersplit.cobordism as cob
+
+    maps = []
+
+    def counting(m):
+        maps.append(m)
+        return lefschetz(m)
+
+    monkeypatch.setattr(cob, "lefschetz", counting)
+    for name in catalog.names():
+        maps.clear()
+        inst = catalog.load_entry(name)
+        verify_splitting(inst)
+        assert len(maps) == 2 and maps[0] == inst.w, name
+
+
 def test_theorem_counterexample_guard(monkeypatch):
     import floersplit.cobordism as cob
 
@@ -264,7 +272,7 @@ def test_theorem_counterexample_guard(monkeypatch):
 
 def test_trace_case1_sigma_degree0():
     inst = catalog.load_entry("sigma_2_7_13_mapping_torus")
-    tr = trace_case1(inst)
+    tr = trace_towers(inst, 0)
     tower = tr.tower(0)
     assert tower.start_dim == 4 and tower.start_trace == 4
     assert [s.index for s in tower.steps] == [1, 3]
@@ -284,7 +292,7 @@ def test_trace_case2_one_step():
     space = graded_space(0, 1, 0, 0, 0, 0, 0, 0)
     pair = _pair(space, Case.DELTA_PRIME_SIDE, primes=[Matrix.column([1])], n_max=1)
     inst = _instance(space, pair, GradedMap.identity(space))
-    tr = trace_case2(inst)
+    tr = trace_towers(inst, 1)
     tower = tr.tower(1)
     assert tower.start_trace == 1 and tower.final_trace == 0
     assert tower.removed == 1
@@ -295,13 +303,15 @@ def test_trace_case_preconditions():
     space = graded_space(0, 1, 0, 0, 0, 0, 0, 0)
     pair = _pair(space, Case.DELTA_PRIME_SIDE, primes=[Matrix.column([1])], n_max=1)
     inst = _instance(space, pair, GradedMap.identity(space))
-    with pytest.raises(ValueError):
-        trace_case1(inst)
+    for q in (0, 4):
+        with pytest.raises(ValueError, match="kernel-tower replay needs a vanishing delta' family"):
+            trace_towers(inst, q)
     space2 = graded_space(0, 0, 0, 0, 1, 0, 0, 0)
     pair2 = _pair(space2, Case.DELTA_SIDE, deltas=[mat([[1]])], n_max=1)
     inst2 = _instance(space2, pair2, GradedMap.identity(space2))
-    with pytest.raises(ValueError):
-        trace_case2(inst2)
+    for q in (1, 5):
+        with pytest.raises(ValueError, match="span-tower replay needs a vanishing delta family"):
+            trace_towers(inst2, q)
 
 
 def test_step_mismatch_on_invalid_instance():
@@ -315,7 +325,7 @@ def test_step_mismatch_on_invalid_instance():
     w = blocks_map(space, 0, {0: mat([[2, 0], [0, 1]])})
     inst = _instance(space, pair, w)
     with pytest.raises(StepMismatch):
-        trace_case1(inst)
+        trace_towers(inst, 0)
 
 
 def test_step_mismatch_on_invalid_span_tower():
@@ -324,7 +334,7 @@ def test_step_mismatch_on_invalid_span_tower():
     pair = _pair(space, Case.DELTA_PRIME_SIDE, primes=[Matrix.column([1, 0])], n_max=1)
     w = blocks_map(space, 0, {1: mat([[2, 0], [0, 1]])})
     with pytest.raises(StepMismatch):
-        trace_case2(_instance(space, pair, w))
+        trace_towers(_instance(space, pair, w), 1)
 
 
 def test_refinement_sigma():

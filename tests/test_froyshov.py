@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from floersplit.errors import DichotomyViolation, InclusionViolation, ValidationError
+from floersplit.errors import DichotomyViolation, ValidationError
 from floersplit.froyshov import (
     FAMILIES,
     Case,
@@ -20,7 +20,6 @@ from floersplit.froyshov import (
     froyshov_h,
     induce_special,
     reduced,
-    reduced_from_subspaces,
     tower,
     tower_members,
     z_subspaces,
@@ -250,26 +249,36 @@ def _last_stage(dim, q, members, start):
     return stage
 
 
+def _random_pair(seed, kinds):
+    """A seeded space and a pair of a random case, its active family drawn
+    member by member with ``_random_member``."""
+    rng = random.Random(seed)
+    space = graded_space(*(rng.choice((0, 1, 2, 3, 4)) for _ in range(8)))
+    n_max = rng.randint(0, 5)
+    case = rng.choice(list(Case))
+    by_degree = {q: [] for q in (0, 1, 4, 5)}
+    families = {fam.key: [] for fam in FAMILIES}
+    for n in range(n_max + 1):
+        for fam in FAMILIES:
+            shape = fam.shape(space.dim(fam.degree(n)))
+            if case is fam.case:
+                m = _random_member(rng, by_degree[fam.degree(n)], shape, kinds)
+                by_degree[fam.degree(n)].append(m)
+            else:
+                m = Matrix.zeros(*shape)
+            families[fam.key].append(m)
+    return space, SpecialPair(n_max, tuple(families["deltas"]), tuple(families["deltas_prime"]), case)
+
+
+def _kinds():
+    return {"zero": 0, "repeat": 0, "combination": 0, "random": 0}
+
+
 def test_z_and_b_equal_the_last_tower_stage_on_random_pairs():
-    kinds = {"zero": 0, "repeat": 0, "combination": 0, "random": 0}
+    kinds = _kinds()
     cases, zero_dims, memberless = set(), 0, 0
     for seed in range(300):
-        rng = random.Random(seed)
-        space = graded_space(*(rng.choice((0, 1, 2, 3, 4)) for _ in range(8)))
-        n_max = rng.randint(0, 5)
-        case = rng.choice(list(Case))
-        by_degree = {q: [] for q in (0, 1, 4, 5)}
-        families = {fam.key: [] for fam in FAMILIES}
-        for n in range(n_max + 1):
-            for fam in FAMILIES:
-                shape = fam.shape(space.dim(fam.degree(n)))
-                if case is fam.case:
-                    m = _random_member(rng, by_degree[fam.degree(n)], shape, kinds)
-                    by_degree[fam.degree(n)].append(m)
-                else:
-                    m = Matrix.zeros(*shape)
-                families[fam.key].append(m)
-        pair = SpecialPair(n_max, tuple(families["deltas"]), tuple(families["deltas_prime"]), case)
+        space, pair = _random_pair(seed, kinds)
         cases.add(pair.case)
         z, b = z_subspaces(space, pair), b_subspaces(space, pair)
         for q in range(8):
@@ -353,20 +362,25 @@ def test_untouched_degrees():
         assert red_p.hf_red.dim(q) == space.dim(q)
 
 
-def test_inclusion_violation_guard():
-    space = graded_space(0, 2, 0, 0, 0, 0, 0, 0)
-    z = tuple(
-        Subspace.span(2, Matrix.from_rows([[1, 0]], cols=2).transpose()) if q == 1
-        else Subspace.full(space.dim(q))
-        for q in range(8)
-    )
-    b = tuple(
-        Subspace.span(2, Matrix.from_rows([[0, 1]], cols=2).transpose()) if q == 1
-        else Subspace.zero(space.dim(q))
-        for q in range(8)
-    )
-    with pytest.raises(InclusionViolation):
-        reduced_from_subspaces(space, z, b)
+def test_reduced_cuts_z_and_b_only_where_the_families_act():
+    """Z^q is the whole space off degrees 0 and 4 and B^q is zero off 1 and
+    5, so B^q lies in Z^q in every degree: where B^q is nonzero, Z^q is
+    whole.  The reduced dimension is then dim Z^q - dim B^q."""
+    kinds = _kinds()
+    cases = set()
+    for seed in range(300):
+        space, pair = _random_pair(seed, kinds)
+        cases.add(pair.case)
+        red = reduced(space, pair)
+        for q in range(8):
+            z, b = red.z[q], red.b[q]
+            if q not in (0, 4):
+                assert z == Subspace.full(space.dim(q)), (seed, q)
+            if q not in (1, 5):
+                assert b == Subspace.zero(space.dim(q)), (seed, q)
+            assert z.contains(b), (seed, q)
+            assert red.hf_red.dim(q) == z.dim - b.dim, (seed, q)
+    assert cases == set(Case) and min(kinds.values()) > 50
 
 
 # -- froyshov_h ---------------------------------------------------------------

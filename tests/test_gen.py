@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from floersplit.cobordism import (
-    CobordismMap,
     reduced_induced,
     trace_towers,
     validate_relations,
@@ -18,6 +17,7 @@ from floersplit.cobordism import (
 from floersplit.errors import ValidationError
 from floersplit.froyshov import MAX_N_MAX, Case, reduced
 from floersplit.gen import (
+    MAX_GEN_DIM,
     GenConfig,
     gen_chain_instance,
     gen_instance,
@@ -38,8 +38,10 @@ def test_config_validation():
         GenConfig(seed=1, n_max=0)
     with pytest.raises(ValidationError):
         GenConfig(seed=1, case_mix=(0.0, 0.0, 0.0))
-    with pytest.raises(ValidationError):
-        GenConfig(seed=1, entry_bound=0)
+    for max_dim in (MAX_GEN_DIM + 1, 10**6, 10**30):
+        with pytest.raises(ValidationError, match=f"past {MAX_GEN_DIM}"):
+            GenConfig(seed=1, max_dim=max_dim)
+    GenConfig(seed=1, max_dim=MAX_GEN_DIM)
 
 
 @pytest.mark.parametrize(
@@ -90,10 +92,10 @@ def test_determinism_bit_identical():
 def test_soundness_over_seed_range():
     for seed in range(1, 61):
         inst = gen_instance(GenConfig(seed=seed))
-        report = validate_relations(CobordismMap(inst.w), inst.pair)
+        report = validate_relations(inst.w, inst.pair)
         assert report.ok
         red = reduced(inst.space, inst.pair)  # checks B inside Z
-        reduced_induced(CobordismMap(inst.w), red)  # checks invariance
+        reduced_induced(inst.w, red)  # checks invariance
 
 
 def test_empty_instance():
@@ -128,7 +130,7 @@ def test_planted_coefficients_recovered():
     checked = 0
     for seed in range(1, 120):
         inst = gen_instance(GenConfig(seed=seed))
-        report = validate_relations(CobordismMap(inst.w), inst.pair)
+        report = validate_relations(inst.w, inst.pair)
         planted = inst.metadata["planted_a"] + inst.metadata["planted_b"]
         table = {**report.a} if inst.pair.case is Case.DELTA_SIDE else {**report.b}
         for i, n, c in planted:
@@ -216,7 +218,7 @@ def test_chain_zero_boundary_degenerates():
 def test_chain_soundness():
     for seed in range(1, 21):
         inst = gen_chain_instance(GenConfig(seed=seed, chain_level=True))
-        assert validate_relations(CobordismMap(inst.w), inst.pair).ok
+        assert validate_relations(inst.w, inst.pair).ok
         verify_splitting(inst, raise_on_failure=True)
 
 

@@ -22,7 +22,7 @@ import pathlib
 import pytest
 
 from floersplit.cli import main
-from floersplit.cobordism import CobordismMap, validate_relations
+from floersplit.cobordism import validate_relations
 from floersplit.gen import GenConfig, gen_instance
 from floersplit.serialize import dumps
 
@@ -64,6 +64,33 @@ REPORT_DIGESTS = {
         "684688e2a66895578e190644c635c2ff7233c8f08e6cbc51e0242a5ddc60aa7c",
     ("product_cobordism_demo", "trace"):
         "3dfe0fa3600fad0dd772e637df2a105b7108be91a1dc672b1baeb315cc93f551",
+}
+
+# (exit code, SHA-256 of the stdout) of `floersplit --format json trace
+# fixtures/NAME.json --tower Q`; a span tower on a functional-side fixture
+# is refused with exit 2 and an empty stdout
+_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+TOWER_DIGESTS = {
+    ("akbulut_cork_mapping_torus", 0):
+        (0, "3b1a0fd0fca4d983410d5e6fab62c66dae579b05a4a6d82429947866829a5ac0"),
+    ("akbulut_cork_mapping_torus", 1):
+        (0, "b05576ddd12ae3b6e8ca8498b65df23d4fc1a0b5bc2939ac3d921f60b1dc6efe"),
+    ("akbulut_cork_mapping_torus", 4):
+        (0, "6cc0e3a9d50e673713948f6dc23ff11e909c83d9f4d92d351131e110150f9954"),
+    ("akbulut_cork_mapping_torus", 5):
+        (0, "d3cde7498a93d722117f5462c7fa634867f630bc5fa34b79eda91974e03b113e"),
+    ("product_cobordism_demo", 0):
+        (0, "80b10ae4a090c3bd8092e3e5939a377fc458b77c6b36854c5ec2437fe1617a68"),
+    ("product_cobordism_demo", 1): (2, _EMPTY),
+    ("product_cobordism_demo", 4):
+        (0, "dd34a26500b72ab326896813bd15d802ef37f17054014232d5a9f2e65d8b1b36"),
+    ("product_cobordism_demo", 5): (2, _EMPTY),
+    ("sigma_2_7_13_mapping_torus", 0):
+        (0, "8bece348e78b89a990e86bff1025df64095184335f3f5ed376a37512c57492f9"),
+    ("sigma_2_7_13_mapping_torus", 1): (2, _EMPTY),
+    ("sigma_2_7_13_mapping_torus", 4):
+        (0, "9a2ac8af40571ee56c995a543ad188c696fdb95cc869b4c1926cf3972f087d2e"),
+    ("sigma_2_7_13_mapping_torus", 5): (2, _EMPTY),
 }
 
 # SHA-256 of the stdout of `floersplit ARGS`; a unique prefix shows its entry
@@ -121,6 +148,15 @@ def test_catalog_target_reports_are_golden(name, command, capsys):
     assert _sha256(capsys.readouterr().out) == REPORT_DIGESTS[name, command]
 
 
+@pytest.mark.parametrize("name,tower", sorted(TOWER_DIGESTS))
+def test_json_tower_reports_are_golden(name, tower, capsys):
+    rc = main(["--format", "json", "trace", str(FIXTURES / f"{name}.json"), "--tower", str(tower)])
+    captured = capsys.readouterr()
+    assert (rc, _sha256(captured.out)) == TOWER_DIGESTS[name, tower]
+    refused = "validation error: span-tower replay needs a vanishing delta family\n"
+    assert captured.err == ("" if rc == 0 else refused)
+
+
 @pytest.mark.parametrize("args", sorted(CATALOG_DIGESTS))
 def test_catalog_outputs_are_golden(args, capsys):
     assert main(list(args)) == 0
@@ -162,5 +198,5 @@ def test_relation_reports_are_golden(mode):
     for s in seeds:
         inst = gen_instance(GenConfig(seed=s, **kwargs))
         for w in (inst.w, perturb_w(inst.w, inst.pair, s % 2)):
-            lines.append(_report_text(validate_relations(CobordismMap(w), inst.pair)))
+            lines.append(_report_text(validate_relations(w, inst.pair)))
     assert _sha256("\n".join(lines)) == digest

@@ -527,6 +527,26 @@ def test_cli_sweep_n_max_past_the_cap_is_a_validation_error(capsys):
     assert captured.err.startswith("validation error: ValidationError: n_max ")
 
 
+def test_cli_sweep_max_dim_past_the_cap_is_a_validation_error(capsys):
+    import tracemalloc
+
+    from floersplit.gen import MAX_GEN_DIM
+
+    tracemalloc.start()
+    try:
+        for max_dim in (MAX_GEN_DIM + 1, 10**6, 10**30):
+            assert main(["sweep", "--seeds", "1..1", "--max-dim", str(max_dim), "--jobs", "1"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                f"validation error: ValidationError: max_dim {max_dim} is past {MAX_GEN_DIM}"
+            ]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # refused before any dimension was drawn
+
+
 def test_cli_sweep_empty_instances(capsys):
     rc = main(["sweep", "--seeds", "1..1", "--max-dim", "0"])
     out = capsys.readouterr().out
@@ -594,10 +614,19 @@ def test_cli_trace_wrong_tower_for_case(capsys):
         json.dump(doc, f)
         path = f.name
     try:
+        capsys.readouterr()
         assert main(["trace", path, "--tower", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "validation error: kernel-tower replay needs a vanishing delta' family\n"
         assert main(["trace", path, "--tower", "1"]) == 0
     finally:
         os.unlink(path)
+    capsys.readouterr()
+    assert main(["trace", "catalog:sigma_2_7_13_mapping_torus", "--tower", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "validation error: span-tower replay needs a vanishing delta family\n"
 
 
 def test_cli_sweep_failure_dump(tmp_path, capsys, monkeypatch):
