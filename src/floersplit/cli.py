@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -157,22 +158,19 @@ def _trace_json(tr: CaseTrace) -> dict:
     }
 
 
-def _print_trace(tr: CaseTrace, name: str, fmt: str, tower: int | None) -> None:
-    towers = [t for t in tr.towers if tower is None or t.degree == tower]
+def _print_trace(tr: CaseTrace, name: str, fmt: str) -> None:
     if fmt == "json":
-        out = _trace_json(tr)
-        out["towers"] = [t for t in out["towers"] if tower is None or t["degree"] == tower]
         print(json.dumps({
             "schema_version": REPORT_SCHEMA_VERSION,
             "kind": "trace-report",
             "instance": name,
-            "trace": out,
+            "trace": _trace_json(tr),
         }, indent=2, sort_keys=True))
         return
     print(f"instance: {name}    case: {tr.case.value}")
     if tr.case is Case.BOTH_ZERO:
         print("note: both families vanish; reduced equals unreduced and the towers are trivial")
-    for t in towers:
+    for t in tr.towers:
         print(f"tower degree {t.degree} ({t.kind}): start dim {t.start_dim}, trace {t.start_trace}")
         for s in t.steps:
             flag = "active" if s.active else "inactive"
@@ -188,7 +186,7 @@ def cmd_trace(args) -> int:
     except ValueError as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    _print_trace(tr, instance.name, args.format, args.tower)
+    _print_trace(tr, instance.name, args.format)
     return EXIT_PASS
 
 
@@ -344,7 +342,10 @@ def cmd_catalog(args) -> int:
     raise ParseError(f"unknown catalog action {args.action!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use;
+    ``parse_args`` keeps no state between calls, so it is shared."""
     parser = argparse.ArgumentParser(
         prog="floersplit",
         description="Exact verification of Lefschetz-number splitting identities "
@@ -385,8 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (TheoremCounterexample, StepMismatch) as e:

@@ -282,17 +282,22 @@ def _replay_tower(block: Matrix, degree: int, members) -> TowerLog:
 
 
 def trace_towers(instance: Instance, degree: int | None = None) -> CaseTrace:
-    """Replay the towers of one kind: the kernel towers in degrees 0 and 4
+    """Replay filtration towers: the kernel towers in degrees 0 and 4
     (vanishing vector side) or the span towers in 1 and 5 (vanishing
-    functional side).  ``degree`` picks the kind of its tower; by default
-    the kind matching the instance's case."""
+    functional side).  ``degree`` replays that one tower only; by default
+    both towers of the kind matching the instance's case."""
+    if degree is not None and degree not in (0, 1, 4, 5):
+        raise ValueError(f"no filtration tower at degree {degree}; expected 0, 1, 4 or 5")
     sp = instance.pair
     kernel = sp.case is not Case.DELTA_PRIME_SIDE if degree is None else degree in (0, 4)
     if kernel and sp.case is Case.DELTA_PRIME_SIDE:
         raise ValueError("kernel-tower replay needs a vanishing delta' family")
     if not kernel and sp.case is Case.DELTA_SIDE:
         raise ValueError("span-tower replay needs a vanishing delta family")
-    degrees = (0, 4) if kernel else (1, 5)
+    if degree is not None:
+        degrees = (degree,)
+    else:
+        degrees = (0, 4) if kernel else (1, 5)
     return CaseTrace(
         sp.case,
         tuple(_replay_tower(instance.w.block(q), q, tower_members(sp, q)) for q in degrees),

@@ -10,7 +10,9 @@ which makes subspace equality plain representation equality.
 Matrix storage is dense; instance sizes in this engine are at most tens
 of dimensions per degree.  Products skip zero factors and elimination
 skips zero entries of the pivot row, since most operands (chain maps,
-block-structured differentials, kernel bases) are mostly zero.
+block-structured differentials, kernel bases) are mostly zero.  A
+quotient by the zero subspace has identity projection and section, so
+the map it induces is the map itself, returned without a product.
 """
 
 from __future__ import annotations
@@ -466,11 +468,15 @@ def induced_on_quotient(f: Matrix, q: QuotientSpace) -> Matrix:
     """Matrix induced by f on the quotient, via projection o f o section.
 
     Requires f to map the quotient's subspace into itself; the result is
-    independent of the section choice.
+    independent of the section choice.  A quotient by zero returns f
+    itself: its projection and section are identities, and there is no
+    invariance to check.
     """
     if not f.is_square or f.rows != q.ambient_dim:
         raise ValueError("induced_on_quotient: f must be square on the ambient space")
-    if q.subspace.dim > 0 and solve(q.subspace.basis, f @ q.subspace.basis) is None:
+    if q.subspace.dim == 0:
+        return f
+    if solve(q.subspace.basis, f @ q.subspace.basis) is None:
         raise InvarianceViolation("map does not leave the quotient's subspace invariant")
     return q.projection @ f @ q.section
 

@@ -314,6 +314,15 @@ def test_trace_case_preconditions():
             trace_towers(inst2, q)
 
 
+def test_trace_towers_refuses_a_degree_without_a_tower():
+    inst = catalog.load_entry("akbulut_cork_mapping_torus")  # both zero: every tower applies
+    for q in (2, 3, 6, 7, -1, 8):
+        with pytest.raises(ValueError, match=f"no filtration tower at degree {q}; expected 0, 1, 4 or 5"):
+            trace_towers(inst, q)
+    for q in (0, 1, 4, 5):
+        assert [t.degree for t in trace_towers(inst, q).towers] == [q]
+
+
 def test_step_mismatch_on_invalid_instance():
     # a map breaking the degree-zero relation makes the first tower step
     # drop by 2 instead of 1

@@ -429,6 +429,20 @@ def test_induced_swap_mod_diagonal():
     assert induced_on_quotient(mat([[0, 1], [1, 0]]), q) == mat([[-1]])
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(sparse_block(n, n), sparse_block(n, n + 1))))
+def test_quotient_by_zero_equals_the_dense_product(maps):
+    """A quotient by zero returns f without a product; it must still equal
+    the dense projection . f . section, and a misshapen f is still refused."""
+    f, wide = maps
+    n = f.rows
+    q = quotient(n, Subspace.zero(n))
+    assert induced_on_quotient(f, q) == dense_matmul(dense_matmul(q.projection, f), q.section)
+    for bad in (wide, wide.transpose(), Matrix.identity(n + 1)):
+        with pytest.raises(ValueError, match="f must be square on the ambient space"):
+            induced_on_quotient(bad, q)
+
+
 # -- trace ---------------------------------------------------------------
 
 

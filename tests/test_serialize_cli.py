@@ -10,9 +10,15 @@ from fractions import Fraction
 import pytest
 
 from floersplit import catalog
-from floersplit.cli import main
+from floersplit.cli import build_parser, main
 from floersplit.cobordism import verify_splitting
-from floersplit.errors import DichotomyViolation, ParseError, RelationViolation, UnknownEntry
+from floersplit.errors import (
+    DichotomyViolation,
+    ParseError,
+    RelationViolation,
+    StepMismatch,
+    UnknownEntry,
+)
 from floersplit.froyshov import MAX_N_MAX
 from floersplit.gen import GenConfig, gen_chain_instance, gen_instance
 from floersplit.instance import HOMOLOGY, Instance
@@ -456,6 +462,49 @@ def test_cli_trace_json(capsys):
     assert rc == 0
     degrees = [t["degree"] for t in out["trace"]["towers"]]
     assert degrees == [0, 4]
+
+
+def test_cli_trace_replays_only_the_requested_tower(capsys, monkeypatch):
+    import floersplit.cobordism as cob
+
+    replay = cob._replay_tower
+    replayed = []
+
+    def broken_at_4(block, degree, members):
+        replayed.append(degree)
+        if degree == 4:
+            raise StepMismatch("kernel tower at degree 4: step 1 dropped 2, expected 1")
+        return replay(block, degree, members)
+
+    monkeypatch.setattr(cob, "_replay_tower", broken_at_4)
+    target = "catalog:sigma_2_7_13_mapping_torus"
+    assert main(["trace", target, "--tower", "0"]) == 0
+    assert replayed == [0]
+    assert "tower degree 0" in capsys.readouterr().out
+    assert main(["trace", target, "--tower", "4"]) == 1
+    assert main(["trace", target]) == 1  # by default both towers of the kind
+    assert replayed == [0, 4, 0, 4]
+    assert "identity failure: kernel tower at degree 4" in capsys.readouterr().err
+
+
+def test_cli_shared_parser_keeps_no_state(capsys):
+    target = "catalog:sigma_2_7_13_mapping_torus"
+
+    def run(*argv):
+        assert main(list(argv)) == 0
+        return capsys.readouterr().out
+
+    sequences = [
+        (["--convention", "cohomology", "verify", target], ["verify", target]),
+        (["--format", "json", "verify", target], ["verify", target]),
+    ]
+    for first, second in sequences:
+        build_parser.cache_clear()  # the reference: a fresh parser
+        alone = run(*second)
+        build_parser.cache_clear()
+        assert run(*first) != alone
+        assert run(*second) == alone
+    assert "convention:   homology" in alone
 
 
 def test_cli_sweep_small(capsys):
