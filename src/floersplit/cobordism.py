@@ -219,12 +219,6 @@ class CaseTrace:
     case: Case
     towers: tuple[TowerLog, ...]
 
-    def tower(self, degree: int) -> TowerLog:
-        for t in self.towers:
-            if t.degree == degree:
-                return t
-        raise ValueError(f"no tower at degree {degree}")
-
 
 def _replay_tower(block: Matrix, degree: int, members) -> TowerLog:
     """Replay the filtration tower at ``degree`` under a fixed map.

@@ -7,9 +7,14 @@ so all arithmetic is exact and every comparison downstream is an equality,
 never a tolerance.  Subspace bases are kept in column-reduced echelon form,
 which makes subspace equality plain representation equality.
 
+There is one elimination, the running echelon form of ``RunningSpan``
+behind ``rref``, ``solve`` and the kernels.  A canonical basis is the
+identity on its pivot rows, so subspace coordinates are read there, and
+rebuilding the vectors from them checks containment and invariance.
+
 Matrix storage is dense; instance sizes in this engine are at most tens
 of dimensions per degree.  Products skip zero factors and elimination
-skips zero entries of the pivot row, since most operands (chain maps,
+touches only stored nonzeros, since most operands (chain maps,
 block-structured differentials, kernel bases) are mostly zero.  A
 quotient by the zero subspace has identity projection and section, so
 the map it induces is the map itself, returned without a product.
@@ -81,9 +86,6 @@ class Matrix:
         return Matrix.from_rows([list(vec)], cols=cols if cols is not None else len(vec))
 
     # -- access ------------------------------------------------------
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
 
     def col(self, j: int) -> tuple[Fraction, ...]:
         return tuple(r[j] for r in self.entries)
@@ -178,55 +180,35 @@ class RrefResult(NamedTuple):
 def rref(m: Matrix) -> RrefResult:
     """Unique reduced row echelon form with pivot columns and rank.
 
-    Row operations touch only the pivot row's nonzeros, which all lie at
-    or after the pivot column; the result is still the one canonical
-    RREF, so subspaces built from it stay equal exactly when their
-    representations are.
+    The rows of m are added to one ``RunningSpan``; its rows in pivot
+    order, then zero rows, are the one canonical RREF, so subspaces built
+    from it stay equal exactly when their representations are.
     """
-    a = [list(r) for r in m.entries]
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(m.cols):
-        piv = next((i for i in range(pr, m.rows) if a[i][pc]), None)
-        if piv is None:
-            continue
-        a[pr], a[piv] = a[piv], a[pr]
-        row = a[pr]
-        inv = 1 / row[pc]
-        nonzeros = [(j, x * inv) for j in range(pc, m.cols) if (x := row[j])]
-        for j, x in nonzeros:
-            row[j] = x
-        for i, other in enumerate(a):
-            f = other[pc]
-            if f and i != pr:
-                for j, y in nonzeros:
-                    other[j] -= f * y
-        pivots.append(pc)
-        pr += 1
-        if pr == m.rows:
-            break
-    ech = Matrix(m.rows, m.cols, tuple(tuple(r) for r in a))
-    return RrefResult(ech, tuple(pivots), len(pivots))
+    span = RunningSpan(m.cols)
+    for i, r in enumerate(m.entries):
+        span.add(i, r)
+    zero_row = (Q(0),) * m.cols
+    ech = Matrix(m.rows, m.cols, span.rows.entries + (zero_row,) * (m.rows - span.rank))
+    return RrefResult(ech, tuple(sorted(span._rows)), span.rank)
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix | None:
     """One exact solution X of a @ X = b with free variables set to zero.
 
     Returns None when the system is inconsistent.  b may have any number
-    of columns; each is solved against the same elimination.
+    of columns; each is read against one running span of a's columns,
+    whose independent columns are exactly a's pivot columns.
     """
     if a.rows != b.rows:
         raise ValueError("solve: row mismatch")
-    aug, augpiv, _ = rref(a.hstack(b))
-    # pivots of [a|b] inside the a-part are exactly the pivots of a;
-    # a pivot in the b-part means the system is inconsistent
-    if any(p >= a.cols for p in augpiv):
+    span = RunningSpan(a.rows)
+    for j in range(a.cols):
+        span.add(j, a.col(j))
+    coords = [span.coordinates(b.col(j)) for j in range(b.cols)]
+    if None in coords:
         return None
-    x = [[Q(0)] * b.cols for _ in range(a.cols)]
-    for r, pc in enumerate(augpiv):
-        for j in range(b.cols):
-            x[pc][j] = aug.entries[r][a.cols + j]
-    return Matrix(a.cols, b.cols, tuple(tuple(r) for r in x))
+    zero = Q(0)
+    return Matrix(a.cols, b.cols, tuple(tuple(c.get(i, zero) for c in coords) for i in range(a.cols)))
 
 
 @dataclass(frozen=True)
@@ -265,25 +247,33 @@ class Subspace:
         return self.basis.cols
 
     def pivot_rows(self) -> tuple[int, ...]:
-        out = []
-        for j in range(self.basis.cols):
-            col = self.basis.col(j)
-            out.append(next(i for i, x in enumerate(col) if x != 0))
+        # column j is zero above its pivot, which lies below column j - 1's
+        out: list[int] = []
+        for i, r in enumerate(self.basis.entries):
+            if len(out) < self.dim and r[len(out)]:
+                out.append(i)
         return tuple(out)
 
     def contains(self, other: "Subspace") -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        if other.dim == 0:
-            return True
-        return solve(self.basis, other.basis) is not None
+        return _pivot_coordinates(self, other.basis) is not None
 
     def coordinates_of(self, vectors: Matrix) -> Matrix:
         """Coordinates of the given column vectors in this basis."""
-        x = solve(self.basis, vectors)
+        x = _pivot_coordinates(self, vectors)
         if x is None:
             raise ValueError("vectors not contained in subspace")
         return x
+
+
+def _pivot_coordinates(s: Subspace, vectors: Matrix) -> Matrix | None:
+    """Coordinates of the columns of ``vectors`` in s's basis, or None when
+    one lies outside s.  The basis is the identity on its pivot rows, so
+    the vectors' entries there are the only candidates, and a vector lies
+    in s exactly when the basis times them rebuilds it."""
+    if vectors.rows != s.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    coords = vectors.submatrix(s.pivot_rows(), range(vectors.cols))
+    return coords if s.basis @ coords == vectors else None
 
 
 def _row_span(vectors: Matrix) -> Subspace:
@@ -317,9 +307,9 @@ class RunningSpan:
     ``add`` returned True), keyed by the caller's distinct keys.  Adding a
     vector reduces it against the rows and, when something is left,
     eliminates the new pivot from the other rows; nothing is ever
-    re-eliminated from scratch.  ``coordinates`` equals ``solve`` against
-    the added vectors stacked as columns with free variables set to zero,
-    since the independent vectors are exactly that matrix's pivot columns.
+    re-eliminated from scratch.  The independent vectors are exactly the
+    pivot columns of the added vectors stacked as columns, so
+    ``coordinates`` solves that system with free variables set to zero.
     """
 
     __slots__ = ("dim", "_rows")
@@ -334,36 +324,38 @@ class RunningSpan:
         return len(self._rows)
 
     def _reduce(self, v: Sequence[Fraction]):
-        """v minus its part in the span, and that part's combination."""
+        """v minus its part in the span, and the (multiple, combination)
+        of each row in that part."""
         if len(v) != self.dim:
             raise ValueError(f"vector of length {len(v)} in a span of Q^{self.dim}")
         residual = list(v)
-        coeffs: dict = {}
+        used = []
         for p, (row, combo) in self._rows.items():
             # every other row is zero at p, so v's own entry is the multiple
             c = v[p]
             if c:
                 for j, x in row.items():
                     residual[j] -= c * x
-                for k, y in combo.items():
-                    coeffs[k] = coeffs.get(k, 0) + c * y
-        return residual, coeffs
+                used.append((c, combo))
+        return residual, used
 
     def coordinates(self, v: Sequence[Fraction]) -> dict | None:
         """v's combination of the independent vectors (a missing key has
         coefficient zero), or None when v lies outside the span."""
-        residual, coeffs = self._reduce(v)
-        return None if any(residual) else coeffs
+        residual, used = self._reduce(v)
+        return None if any(residual) else _combine(used)
 
     def add(self, key, v: Sequence[Fraction]) -> bool:
         """Add v under ``key``; True exactly when the span grew."""
-        residual, coeffs = self._reduce(v)
-        pc = next((j for j, x in enumerate(residual) if x), None)
-        if pc is None:
+        residual, used = self._reduce(v)
+        nonzeros = [(j, x) for j, x in enumerate(residual) if x]
+        if not nonzeros:
             return False
-        inv = Q(1) / residual[pc]
-        row = {j: x * inv for j, x in enumerate(residual) if x}
-        combo = {k: -c * inv for k, c in coeffs.items() if c}
+        pc, lead = nonzeros[0]
+        inv = Q(1) / lead
+        # a leading 1, the usual case on integer data, needs no scaling
+        row = dict(nonzeros) if lead == 1 else {j: x * inv for j, x in nonzeros}
+        combo = {k: -c * inv for k, c in _combine(used).items()}
         combo[key] = inv
         for other, other_combo in self._rows.values():
             if f := other.get(pc):
@@ -376,19 +368,29 @@ class RunningSpan:
     def rows(self) -> Matrix:
         """The reduced echelon rows in pivot order: ``rref`` of the added
         vectors stacked as rows, without its zero rows."""
-        zero, cols = Q(0), range(self.dim)
+        cols, zeros = range(self.dim), [Q(0)] * self.dim
         rows = (self._rows[p][0] for p in sorted(self._rows))
-        return Matrix(self.rank, self.dim, tuple(tuple(r.get(j, zero) for j in cols) for r in rows))
+        return Matrix(self.rank, self.dim, tuple(tuple(map(r.get, cols, zeros)) for r in rows))
 
     def subspace(self) -> "Subspace":
         """The canonical subspace spanned so far."""
         return Subspace(self.dim, self.rows.transpose())
 
 
+def _combine(used) -> dict:
+    """Sum of multiple * combination over the rows ``_reduce`` used."""
+    coeffs: dict = {}
+    for c, combo in used:
+        _axpy(coeffs, c, combo)
+    return coeffs
+
+
 def _axpy(y: dict, a: Fraction, x: dict) -> None:
-    """y += a * x on sparse dicts, dropping entries that cancel."""
+    """y += a * x on sparse dicts of nonzeros (a nonzero), dropping what cancels."""
     for j, v in x.items():
-        if t := y.get(j, 0) + a * v:
+        if j not in y:
+            y[j] = a * v
+        elif t := y[j] + a * v:
             y[j] = t
         else:
             del y[j]
@@ -458,7 +460,7 @@ def restrict(f: Matrix, s: Subspace) -> Matrix:
     """Matrix of f on the invariant subspace s, in the basis of s."""
     if not f.is_square or f.rows != s.ambient_dim:
         raise ValueError("restrict: f must be square on the ambient space")
-    x = solve(s.basis, f @ s.basis)
+    x = _pivot_coordinates(s, f @ s.basis)
     if x is None:
         raise InvarianceViolation("map does not leave the subspace invariant")
     return x
@@ -476,7 +478,7 @@ def induced_on_quotient(f: Matrix, q: QuotientSpace) -> Matrix:
         raise ValueError("induced_on_quotient: f must be square on the ambient space")
     if q.subspace.dim == 0:
         return f
-    if solve(q.subspace.basis, f @ q.subspace.basis) is None:
+    if _pivot_coordinates(q.subspace, f @ q.subspace.basis) is None:
         raise InvarianceViolation("map does not leave the quotient's subspace invariant")
     return q.projection @ f @ q.section
 

@@ -234,6 +234,8 @@ def load(path: str) -> Instance:
         raise ParseError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
     except ValueError as e:  # an integer past the interpreter's digit limit, or not UTF-8
         raise ParseError(f"{path}: invalid JSON: {e}") from e
+    except RecursionError:
+        raise ParseError(f"{path}: invalid JSON: nested too deeply") from None
     return document_to_instance(doc)
 
 

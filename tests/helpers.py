@@ -62,6 +62,24 @@ def dense_rref(m: Matrix) -> RrefResult:
     return RrefResult(ech, tuple(pivots), len(pivots))
 
 
+def dense_solve(a: Matrix, b: Matrix) -> Matrix | None:
+    """Reference solve with free variables set to zero: ``dense_rref`` of
+    the augmented matrix [a|b], read at its pivots; None when a pivot
+    falls in the b-part."""
+    if a.rows != b.rows:
+        raise ValueError("solve: row mismatch")
+    aug, augpiv, _ = dense_rref(a.hstack(b))
+    # pivots of [a|b] inside the a-part are exactly the pivots of a;
+    # a pivot in the b-part means the system is inconsistent
+    if any(p >= a.cols for p in augpiv):
+        return None
+    x = [[Fraction(0)] * b.cols for _ in range(a.cols)]
+    for r, pc in enumerate(augpiv):
+        for j in range(b.cols):
+            x[pc][j] = aug.entries[r][a.cols + j]
+    return Matrix(a.cols, b.cols, tuple(tuple(r) for r in x))
+
+
 def dense_kernel_basis(m: Matrix) -> Subspace:
     """Reference kernel: one vector per free variable read off
     ``dense_rref``, stacked as rows and made canonical by ``dense_rref``

@@ -273,7 +273,7 @@ def test_theorem_counterexample_guard(monkeypatch):
 def test_trace_case1_sigma_degree0():
     inst = catalog.load_entry("sigma_2_7_13_mapping_torus")
     tr = trace_towers(inst, 0)
-    tower = tr.tower(0)
+    (tower,) = (t for t in tr.towers if t.degree == 0)
     assert tower.start_dim == 4 and tower.start_trace == 4
     assert [s.index for s in tower.steps] == [1, 3]
     assert all(s.active and s.drop == 1 for s in tower.steps)
@@ -293,7 +293,7 @@ def test_trace_case2_one_step():
     pair = _pair(space, Case.DELTA_PRIME_SIDE, primes=[Matrix.column([1])], n_max=1)
     inst = _instance(space, pair, GradedMap.identity(space))
     tr = trace_towers(inst, 1)
-    tower = tr.tower(1)
+    (tower,) = (t for t in tr.towers if t.degree == 1)
     assert tower.start_trace == 1 and tower.final_trace == 0
     assert tower.removed == 1
     assert tower.steps[0].active

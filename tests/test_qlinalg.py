@@ -27,6 +27,7 @@ from helpers import (
     dense_kernel_basis,
     dense_matmul,
     dense_rref,
+    dense_solve,
     mat,
     sparse_scalars,
     vector_sequences,
@@ -66,7 +67,7 @@ def test_constructors_refuse_floats_and_bools():
             Matrix.column([1, bad])
         with pytest.raises(TypeError):
             Matrix.identity(2).scale(bad)
-    assert Matrix.from_rows([["1/3", 2]]).entry(0, 0).denominator == 3
+    assert Matrix.from_rows([["1/3", 2]]).entries[0][0].denominator == 3
 
 
 # -- products ----------------------------------------------------------
@@ -206,14 +207,14 @@ def _stacked_rows(dim, vectors):
 @given(vector_sequences(), st.data())
 def test_running_span_equals_stacked_elimination(seq, data):
     """Each step against the added vectors stacked: ``coordinates`` equals
-    ``solve`` on them as columns (None included), ``add`` is True exactly
+    ``dense_solve`` on them as columns (None included), ``add`` is True exactly
     when the rank grows, and the rows are the reference RREF's nonzero rows."""
     dim, vectors = seq
     span = RunningSpan(dim)
     for n, v in enumerate(vectors + [None]):
         before = _stacked_rows(dim, vectors[:n])
         probe = v if v is not None else tuple(data.draw(st.lists(sparse_scalars, min_size=dim, max_size=dim)))
-        x = solve(before.transpose(), Matrix(dim, 1, tuple((e,) for e in probe)))
+        x = dense_solve(before.transpose(), Matrix(dim, 1, tuple((e,) for e in probe)))
         got = span.coordinates(probe)
         if x is None:
             assert got is None
@@ -441,6 +442,48 @@ def test_quotient_by_zero_equals_the_dense_product(maps):
     for bad in (wide, wide.transpose(), Matrix.identity(n + 1)):
         with pytest.raises(ValueError, match="f must be square on the ambient space"):
             induced_on_quotient(bad, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_sequences(max_dim=5, max_count=5), st.data())
+def test_solve_and_subspace_reads_equal_dense_solve(seq, data):
+    """``solve``, and the pivot-row reads behind ``coordinates_of``,
+    ``contains``, ``restrict`` and the quotient's invariance check, agree
+    with ``dense_solve``: on mostly-zero data with entries above 2^100, on
+    inconsistent systems, on maps that leave the subspace not invariant,
+    and in dimension 0."""
+    dim, gens = seq
+    a = Matrix.from_rows([list(v) for v in gens], cols=dim).transpose()
+    k = data.draw(st.integers(0, 3))
+    b = dense_matmul(a, data.draw(sparse_block(a.cols, k)))
+    if data.draw(st.booleans()):
+        b = b + data.draw(sparse_block(dim, k))  # mostly inconsistent
+    assert solve(a, b) == dense_solve(a, b)
+
+    s = Subspace.span(dim, a)
+    want = dense_solve(s.basis, b)
+    if want is None:
+        with pytest.raises(ValueError, match="not contained"):
+            s.coordinates_of(b)
+    else:
+        assert s.coordinates_of(b) == want
+    assert s.contains(Subspace.span(dim, b)) == (want is not None)
+
+    q = quotient(dim, s)
+    f = data.draw(sparse_block(dim, dim))
+    if data.draw(st.booleans()):
+        # the projection kills s, so basis @ X + Y @ projection maps s into s
+        x, y = data.draw(st.tuples(sparse_block(s.dim, dim), sparse_block(dim, q.dim)))
+        f = dense_matmul(s.basis, x) + dense_matmul(y, q.projection)
+    want = dense_solve(s.basis, dense_matmul(f, s.basis))
+    if want is None:
+        with pytest.raises(InvarianceViolation):
+            restrict(f, s)
+        with pytest.raises(InvarianceViolation):
+            induced_on_quotient(f, q)
+    else:
+        assert restrict(f, s) == want
+        assert induced_on_quotient(f, q) == dense_matmul(dense_matmul(q.projection, f), q.section)
 
 
 # -- trace ---------------------------------------------------------------

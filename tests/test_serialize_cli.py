@@ -140,6 +140,23 @@ def test_parse_error_on_undecodable_document(payload, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
 
 
+def _metadata_nest_document(nest: str) -> str:
+    doc = copy.deepcopy(catalog.get("akbulut_cork_mapping_torus").document)
+    doc["metadata"] = {"note": "HOLE"}
+    return json.dumps(doc).replace('"HOLE"', nest)
+
+
+@pytest.mark.parametrize("where", ["top-level", "inside-metadata"])
+def test_deeply_nested_document_is_a_parse_error(where, tmp_path, capsys):
+    nest = "[" * 200_000 + "]" * 200_000
+    path = tmp_path / "deep.json"
+    path.write_text(nest if where == "top-level" else _metadata_nest_document(nest))
+    assert main(["verify", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {path}: invalid JSON: nested too deeply"]
+
+
 def test_parse_error_on_bad_shape():
     doc = copy.deepcopy(catalog.get("sigma_2_7_13_mapping_torus").document)
     doc["special"]["deltas"][0] = [[1, 0, 0]]  # wrong width
