@@ -16,8 +16,9 @@ validator, and a failure is reported as ``Infeasible`` with the seed.
 Chain-level complexes are drawn in split form: each degree decomposes
 into an acyclic part mapped isomorphically one degree up and a harmonic
 part, which plants the cohomology; the whole package (differential,
-degree +4 operator, special data, cobordism map) is then conjugated by
-random unimodular matrices so nothing stays coordinate-aligned.
+degree +4 operator, special data, cobordism map) is then conjugated by a
+random unimodular word of shears, swaps and negations per degree, applied
+as row and column operations, so nothing stays coordinate-aligned.
 """
 
 from __future__ import annotations
@@ -260,34 +261,49 @@ def gen_instance(cfg: GenConfig) -> Instance:
 
 
 def _unimodular(rng: random.Random, n: int):
-    """Random unimodular matrix with its exact inverse (shears and swaps)."""
-    if n == 0:
-        return Matrix.identity(0), Matrix.identity(0)
-    p = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    inv = [row[:] for row in p]
-    # each row operation E on p (p <- E p) is undone on the right of inv
-    # (inv <- inv E^-1, the inverse column operation), so inv p stays I
-    for _ in range(2 * n + 2):
+    """Random unimodular change of basis P = E_k ... E_1 of Q^n, as the
+    word [E_1, ..., E_k] of elementary row operations drawn for it.
+
+    A letter (i, j, c) adds c * row j to row i (a shear; a zero shear is
+    drawn, then dropped), swaps rows i and j when c == 0, and negates row
+    i when i == j.  ``_change_basis`` applies words; no matrix is built.
+    """
+    word = []
+    for _ in range(2 * n + 2 if n else 0):
         kind = rng.random()
         i, j = rng.randrange(n), rng.randrange(n)
         if kind < 0.7 and i != j:
             c = rng.randint(-2, 2)
-            for k in range(n):
-                p[i][k] += c * p[j][k]
-                inv[k][j] -= c * inv[k][i]
+            if c:
+                word.append((i, j, c))
         elif kind < 0.9 and i != j:
-            p[i], p[j] = p[j], p[i]
-            for r in inv:
-                r[i], r[j] = r[j], r[i]
+            word.append((i, j, 0))
         else:
-            p[i] = [-x for x in p[i]]
-            for r in inv:
-                r[i] = -r[i]
+            word.append((i, i, -1))
+    return word
 
-    def mk(rows):
-        return Matrix(n, n, tuple(tuple(r) for r in rows))
 
-    return mk(p), mk(inv)
+def _change_basis(m: Matrix, target_word, source_word) -> Matrix:
+    """P_t @ m @ P_s^-1 for the words of P_t and P_s, skipping zero entries.
+
+    The target word's letters act on m's rows in drawn order.  P_s^-1 =
+    E_1^-1 ... E_k^-1 acts on columns in drawn order too, and the inverse
+    of letter (i, j, c) on columns is (j, i, -c) on the transpose's rows.
+    """
+    for word in (target_word, [(j, i, -c) for i, j, c in source_word]):
+        a = [list(r) for r in m.entries]
+        for i, j, c in word:
+            if i == j:
+                a[i] = [-x for x in a[i]]
+            elif c:
+                row_i = a[i]
+                for k, x in enumerate(a[j]):
+                    if x:
+                        row_i[k] += c * x
+            else:
+                a[i], a[j] = a[j], a[i]
+        m = Matrix(m.rows, m.cols, tuple(map(tuple, a))).transpose()
+    return m
 
 
 def _split_chain_map(rng, a, h, cf, shift, hh_blocks):
@@ -381,20 +397,14 @@ def gen_chain_instance(cfg: GenConfig) -> Instance:
     w_blocks = _split_chain_map(rng, a, h, cf, 0, dict(enumerate(w_hh)))
 
     # conjugate everything by one unimodular change of basis per degree
-    ps, pinvs = [], []
-    for q in range(8):
-        if cfg.periodic and q >= 4:
-            ps.append(ps[q - 4])
-            pinvs.append(pinvs[q - 4])
-        else:
-            p, pinv = _unimodular(rng, cf[q])
-            ps.append(p)
-            pinvs.append(pinv)
-    d_blocks = [ps[(q + 1) % 8] @ d_blocks[q] @ pinvs[q] for q in range(8)]
-    v_blocks = [ps[(q + 4) % 8] @ v_blocks[q] @ pinvs[q] for q in range(8)]
-    w_blocks = [ps[q] @ w_blocks[q] @ pinvs[q] for q in range(8)]
-    delta_row = delta_row @ pinvs[4]
-    prime_col = ps[1] @ prime_col
+    words = [_unimodular(rng, cf[q]) for q in range(4 if cfg.periodic else 8)]
+    if cfg.periodic:
+        words += words
+    d_blocks = [_change_basis(d_blocks[q], words[(q + 1) % 8], words[q]) for q in range(8)]
+    v_blocks = [_change_basis(v_blocks[q], words[(q + 4) % 8], words[q]) for q in range(8)]
+    w_blocks = [_change_basis(w_blocks[q], words[q], words[q]) for q in range(8)]
+    delta_row = _change_basis(delta_row, (), words[4])
+    prime_col = _change_basis(prime_col, words[1], ())
 
     cx = CochainComplex(cf_space, GradedMap(cf_space, cf_space, 1, tuple(d_blocks)))
     cs = ChainSpecial(delta_row, prime_col, GradedMap(cf_space, cf_space, 4, tuple(v_blocks)))

@@ -28,7 +28,20 @@ from .qlinalg import Matrix
 
 SCHEMA_VERSION = "1"
 
+# The largest dimension ``spaces.hf`` or ``spaces.cf`` may list.  It admits
+# every document the generator emits: at its largest max_dim (64) a
+# chain-level degree has a[q] + a[q-1] + h[q] <= 32 + 32 + 64 cochains.
+MAX_DIM = 128
+
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def _shown(value) -> str:
+    """A document value in an error message: a short string or a small
+    integer as written, anything else by its type alone, so that no huge
+    or deeply nested value is ever rendered."""
+    small = isinstance(value, str) and len(value) <= 40 or isinstance(value, int) and abs(value) < 2**64
+    return repr(value) if small or value is None else type(value).__name__
 
 
 def rational_to_json(x: Fraction):
@@ -84,6 +97,8 @@ def _dims_from_json(obj, where: str) -> GradedSpace:
     for d in obj:
         if not isinstance(d, int) or isinstance(d, bool) or d < 0:
             raise ParseError(f"{where}: dimensions must be nonnegative integers")
+        if d > MAX_DIM:
+            raise ParseError(f"{where}: dimensions must be at most {MAX_DIM}")
     return GradedSpace.of(obj)
 
 
@@ -124,20 +139,22 @@ def document_to_instance(doc: Any) -> Instance:
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ParseError(f"unsupported schema_version {doc.get('schema_version')!r}")
+        raise ParseError(f"unsupported schema_version {_shown(doc.get('schema_version'))}")
     convention = doc.get("convention")
     if convention not in (HOMOLOGY, COHOMOLOGY):
-        raise ParseError(f"unknown convention {convention!r}")
+        raise ParseError(f"unknown convention {_shown(convention)}")
     level = doc.get("level")
     if level not in (LEVEL_COHOMOLOGY, LEVEL_CHAIN):
-        raise ParseError(f"unknown level {level!r}")
+        raise ParseError(f"unknown level {_shown(level)}")
     metadata = doc.get("metadata") or {}
     if not isinstance(metadata, dict):
         raise ParseError("metadata must be an object")
     cob = doc.get("cobordism")
     if not isinstance(cob, dict) or "blocks" not in cob:
         raise ParseError("cobordism section with blocks is required")
-    label = str(cob.get("label", "W"))
+    label = cob.get("label", "W")
+    if not isinstance(label, str):
+        raise ParseError("cobordism.label must be a string")
     spaces = doc.get("spaces")
     if not isinstance(spaces, dict):
         raise ParseError("spaces section is required")
@@ -154,10 +171,9 @@ def document_to_instance(doc: Any) -> Instance:
         if not isinstance(n_max, int) or isinstance(n_max, bool) or not 0 <= n_max <= MAX_N_MAX:
             raise ParseError(f"special.n_max must be an integer from 0 to {MAX_N_MAX}")
         case_str = special.get("case")
-        try:
-            case = Case(case_str)
-        except ValueError:
-            raise ParseError(f"unknown case {case_str!r}") from None
+        case = next((c for c in Case if c.value == case_str), None)
+        if case is None:
+            raise ParseError(f"unknown case {_shown(case_str)}")
         space, w = relabel(h_doc, convention), relabel(w_doc, convention)
         deltas, primes = _family_from_json(special, space, n_max)
         pair, chain = SpecialPair(n_max, deltas, primes, case), {}

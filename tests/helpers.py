@@ -37,6 +37,33 @@ def dense_matmul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
+def word_matrices(n: int, word) -> tuple[Matrix, Matrix]:
+    """P and P^-1 of a change-of-basis word of Q^n (``gen._unimodular``),
+    built densely as the generator once built them: each row operation E
+    on P (P <- E P) is undone on the right of P^-1 (P^-1 <- P^-1 E^-1,
+    the inverse column operation), so P^-1 P stays the identity."""
+    p = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in p]
+    for i, j, c in word:
+        if i == j:
+            p[i] = [-x for x in p[i]]
+            for r in inv:
+                r[i] = -r[i]
+        elif c:
+            for k in range(n):
+                p[i][k] += c * p[j][k]
+                inv[k][j] -= c * inv[k][i]
+        else:
+            p[i], p[j] = p[j], p[i]
+            for r in inv:
+                r[i], r[j] = r[j], r[i]
+
+    def mk(rows):
+        return Matrix(n, n, tuple(tuple(r) for r in rows))
+
+    return mk(p), mk(inv)
+
+
 def dense_rref(m: Matrix) -> RrefResult:
     """Reference Gauss-Jordan elimination: every row operation runs over
     the whole row, zero entries included."""

@@ -4,10 +4,13 @@ coverage, chain-level planting, and cobordism redraws."""
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from floersplit import gen
 from floersplit.cobordism import (
     reduced_induced,
     trace_towers,
@@ -25,10 +28,17 @@ from floersplit.gen import (
     redraw_cobordism,
 )
 from floersplit.graded import GradedSpace, cohomology, euler
-from floersplit.qlinalg import Subspace, rref
-from floersplit.serialize import document_to_instance, dumps
+from floersplit.qlinalg import Matrix, Subspace, rref
+from floersplit.serialize import MAX_DIM, document_to_instance, dumps
 
-from helpers import oracle_cohomology_dims, oracle_family_on_cocycles
+from helpers import (
+    coefficients,
+    dense_matmul,
+    oracle_cohomology_dims,
+    oracle_family_on_cocycles,
+    sparse_scalars,
+    word_matrices,
+)
 
 
 def test_config_validation():
@@ -76,6 +86,35 @@ def test_config_refuses_documents_past_the_n_max_cap():
         inst = gen_instance(GenConfig(seed=3, **kwargs))
         assert inst.pair.n_max <= MAX_N_MAX
         assert document_to_instance(json.loads(dumps(inst))) == inst
+
+
+def test_generator_dimensions_stay_under_the_document_cap(monkeypatch):
+    """With every dimension draw at its upper end and max_dim at its cap,
+    the spaces a generated document lists (hf, or chain-level cf) stay
+    within serialize.MAX_DIM, so verify reads whatever sweep dumps."""
+    seen = []
+
+    class Drawn(Exception):
+        pass
+
+    class UpperEnd(random.Random):
+        def randint(self, a, b):
+            return b
+
+    class StopAtFirstSpace:
+        @staticmethod
+        def of(dims):
+            seen.append(tuple(dims))
+            raise Drawn
+
+    monkeypatch.setattr(gen.random, "Random", UpperEnd)
+    monkeypatch.setattr(gen, "GradedSpace", StopAtFirstSpace)
+    for chain_level in (False, True):
+        with pytest.raises(Drawn):
+            gen_instance(GenConfig(seed=1, max_dim=MAX_GEN_DIM, chain_level=chain_level))
+    hf, cf = seen
+    assert hf == (MAX_GEN_DIM,) * 8
+    assert cf == (MAX_DIM,) * 8  # a[q] + a[q-1] + h[q] at the upper end, exactly the cap
 
 
 def test_determinism_bit_identical():
@@ -267,3 +306,62 @@ def test_redraw_on_chain_instance_serializes():
     assert other.level == "cohomology-level" and other.complex is None
     assert document_to_instance(instance_to_document(other)) == other
     verify_splitting(other, raise_on_failure=True)
+
+
+# -- change of basis ------------------------------------------------------------
+
+
+@st.composite
+def words(draw, n):
+    """A change-of-basis word of Q^n: one drawn by the generator itself, or
+    shears (nonzero c), swaps and negations in any order and number."""
+    if draw(st.booleans()):
+        return gen._unimodular(random.Random(draw(st.integers(0, 10**6))), n)
+    if n == 0:
+        return []
+
+    def letter(kind, i, k, c):
+        j = k + (k >= i)  # any index but i
+        return {"shear": (i, j, c), "swap": (i, j, 0), "negate": (i, i, -1)}[kind]
+
+    kinds = ["shear", "swap", "negate"] if n > 1 else ["negate"]
+    letters = st.builds(
+        letter, st.sampled_from(kinds), st.integers(0, n - 1), st.integers(0, max(n - 2, 0)),
+        st.sampled_from([-2, -1, 1, 2]),
+    )
+    return draw(st.lists(letters, max_size=2 * n + 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_change_of_basis_word_is_invertible(data):
+    n = data.draw(st.integers(0, 7))
+    word = data.draw(words(n))
+    p, p_inv = word_matrices(n, word)
+    ident = Matrix.identity(n)
+    assert dense_matmul(p_inv, p) == ident == dense_matmul(p, p_inv)
+    # acting on the identity, the word gives P on rows and P^-1 on columns
+    assert gen._change_basis(ident, word, []) == p
+    assert gen._change_basis(ident, [], word) == p_inv
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_change_basis_equals_the_dense_conjugation(data):
+    """P_t @ m @ P_s^-1 as row and column operations equals the two dense
+    products, on blocks of any shape (0-dimensional degrees included), on
+    the row and column vectors of the special data (an empty word on the
+    vector's side) and on non-integral entries and entries above 2^100."""
+    shape = data.draw(st.sampled_from(["block", "row", "column"]))
+    rows = 1 if shape == "row" else data.draw(st.integers(0, 6))
+    cols = 1 if shape == "column" else data.draw(st.integers(0, 6))
+    target = [] if shape == "row" else data.draw(words(rows))
+    source = [] if shape == "column" else data.draw(words(cols))
+    entry = st.one_of(sparse_scalars, coefficients)
+    m = Matrix.from_rows(
+        data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)),
+        cols=cols,
+    )
+    p_t, _ = word_matrices(rows, target)
+    _, p_s_inv = word_matrices(cols, source)
+    assert gen._change_basis(m, target, source) == dense_matmul(dense_matmul(p_t, m), p_s_inv)

@@ -5,15 +5,19 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import pathlib
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floersplit import catalog
 from floersplit.cli import build_parser, main
 from floersplit.cobordism import verify_splitting
 from floersplit.errors import (
     DichotomyViolation,
+    EngineError,
     ParseError,
     RelationViolation,
     StepMismatch,
@@ -24,6 +28,7 @@ from floersplit.gen import GenConfig, gen_chain_instance, gen_instance
 from floersplit.instance import HOMOLOGY, Instance
 from floersplit.qlinalg import Matrix
 from floersplit.serialize import (
+    MAX_DIM,
     document_to_instance,
     dumps,
     export,
@@ -182,14 +187,16 @@ def test_parse_error_on_misshapen_family_member():
 
 def test_misshapen_block_error_names_the_shape_not_the_data(tmp_path, capsys):
     doc = copy.deepcopy(catalog.get("akbulut_cork_mapping_torus").document)
-    doc["spaces"]["hf"][1] = 300
-    doc["cobordism"]["blocks"][1] = [[0] * 300 for _ in range(299)]
+    doc["spaces"]["hf"][1] = MAX_DIM
+    doc["cobordism"]["blocks"][1] = [[10**15] * MAX_DIM for _ in range(MAX_DIM - 1)]
     path = tmp_path / "short-block.json"
     path.write_text(json.dumps(doc))
     assert path.stat().st_size > 250_000
     assert main(["verify", str(path)]) == 3
     err = capsys.readouterr().err
-    assert err.splitlines() == ["error: cobordism.blocks[1]: expected 300 rows, got list of length 299"]
+    assert err.splitlines() == [
+        f"error: cobordism.blocks[1]: expected {MAX_DIM} rows, got list of length {MAX_DIM - 1}"
+    ]
     assert len(err.encode()) < 200
 
 
@@ -263,8 +270,8 @@ def test_unbacked_dimensions_fail_before_families_are_built():
         "schema_version": "1",
         "level": "cohomology-level",
         "convention": "homology",
-        "spaces": {"hf": [100000, 0, 0, 0, 100000, 0, 0, 0]},
-        "special": {"case": "both_zero", "n_max": 1, "deltas": [], "deltas_prime": []},
+        "spaces": {"hf": [MAX_DIM, 0, 0, 0, MAX_DIM, 0, 0, 0]},
+        "special": {"case": "both_zero", "n_max": MAX_N_MAX, "deltas": [], "deltas_prime": []},
         "cobordism": {"label": "W", "blocks": []},
     }
     tracemalloc.start()
@@ -275,6 +282,120 @@ def test_unbacked_dimensions_fail_before_families_are_built():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # no zero family member was built at a declared dimension
+
+
+def _document_at(level: str, dim: int) -> dict:
+    """A both-zero document with one degree of dimension ``dim``, an
+    identity cobordism block there and zero data everywhere else."""
+    dims = [0, dim, 0, 0, 0, 0, 0, 0]
+
+    def blocks(shift, fill):
+        return [
+            [[fill(i, j) for j in range(dims[q])] for i in range(dims[(q + shift) % 8])]
+            for q in range(8)
+        ]
+
+    identity = blocks(0, lambda i, j: int(i == j))
+    doc = {"schema_version": "1", "level": level, "convention": "cohomology"}
+    if level == "cohomology-level":
+        doc["spaces"] = {"hf": dims}
+        doc["special"] = {"case": "both_zero", "n_max": 1, "deltas": [], "deltas_prime": []}
+    else:
+        zero = lambda i, j: 0  # noqa: E731
+        doc["spaces"] = {"cf": dims}
+        doc.update(differential=blocks(1, zero), v=blocks(4, zero), n_max=1)
+        doc.update(delta=[[]], delta_prime=[[0] for _ in range(dim)])
+    doc["cobordism"] = {"label": "W", "blocks": identity}
+    return doc
+
+
+@pytest.mark.parametrize("level", ["cohomology-level", "chain-level"])
+def test_document_dimensions_are_capped(level, tmp_path, capsys):
+    key = "hf" if level == "cohomology-level" else "cf"
+    at_cap = tmp_path / "at-cap.json"
+    at_cap.write_text(json.dumps(_document_at(level, MAX_DIM)))
+    assert load(str(at_cap)).space.dim(1) == MAX_DIM
+    assert main(["verify", str(at_cap)]) == 0
+    capsys.readouterr()
+    past = tmp_path / "past-cap.json"
+    past.write_text(json.dumps(_document_at(level, MAX_DIM + 1)))
+    assert main(["verify", str(past)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: spaces.{key}: dimensions must be at most {MAX_DIM}"]
+
+
+@pytest.mark.parametrize(
+    "where", [("schema_version",), ("convention",), ("level",), ("special", "case"), ("cobordism", "label")]
+)
+@pytest.mark.parametrize(
+    "make", [lambda: _nest(100_000, "list"), lambda: 10**5000, lambda: "x" * 10**5],
+    ids=["deep-nest", "huge-int", "long-str"],
+)
+def test_parse_error_never_renders_a_huge_value(where, make):
+    doc = copy.deepcopy(catalog.get("akbulut_cork_mapping_torus").document)
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value = make()
+    if where == ("cobordism", "label") and isinstance(value, str):
+        assert document_to_instance(doc).w_label == value  # a long label is data, not an error
+        return
+    with pytest.raises(ParseError) as info:
+        document_to_instance(doc)
+    assert len(str(info.value)) < 100
+
+
+FIXTURE_DOCS = {
+    p.stem: json.loads(p.read_text())
+    for p in sorted((pathlib.Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
+}
+
+
+def _node_paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+def _nest(depth: int, kind: str):
+    x = [] if kind == "list" else {}
+    for _ in range(depth):
+        x = [x] if kind == "list" else {"k": x}
+    return x
+
+
+MUTATIONS = st.one_of(
+    st.sampled_from(["x", 1.5, float("nan"), None, True, -1, 0, [[]], {"k": 1}]),  # wrong types
+    st.sampled_from([2**200, -(2**200), 10**5000]),  # huge ints, the last past str()'s digit limit
+    st.sampled_from([[], {}, ""]),  # empty containers
+    st.builds(_nest, st.sampled_from([50, 100_000]), st.sampled_from(["list", "dict"])),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_fixture_loads_or_raises_an_engine_error(data):
+    """One node of a fixture document (the root included) replaced by a
+    wrong type, a huge int, an empty container or a deep nest either
+    loads or raises an EngineError subclass, quickly."""
+    doc = json.loads(json.dumps(FIXTURE_DOCS[data.draw(st.sampled_from(sorted(FIXTURE_DOCS)))]))
+    path = data.draw(st.sampled_from(list(_node_paths(doc))))
+    mutation = data.draw(MUTATIONS)
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = mutation
+    else:
+        doc = mutation
+    start = time.process_time()
+    try:
+        assert isinstance(document_to_instance(doc), Instance)
+    except EngineError:
+        pass
+    assert time.process_time() - start < 2.0
 
 
 def test_dichotomy_violation_on_load_clean():
