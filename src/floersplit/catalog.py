@@ -20,7 +20,7 @@ from importlib.resources import files
 
 from .errors import UnknownEntry
 from .instance import Instance
-from .serialize import document_to_instance
+from .serialize import document_to_instance, shown
 
 
 def _expected(value, provenance: str, note: str = "") -> dict:
@@ -80,7 +80,7 @@ def get(name: str) -> CatalogEntry:
     if name not in _EXPECTED:
         matches = [k for k in _EXPECTED if k.startswith(name)]
         if len(matches) != 1:
-            raise UnknownEntry(f"no catalog entry named {name!r}; have {', '.join(_EXPECTED)}")
+            raise UnknownEntry(f"no catalog entry named {shown(name)}; have {', '.join(_EXPECTED)}")
         name = matches[0]
     text = (files("floersplit") / "fixtures" / f"{name}.json").read_text(encoding="utf-8")
     return CatalogEntry(name, json.loads(text), _EXPECTED[name])

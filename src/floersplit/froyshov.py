@@ -30,7 +30,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
-from .errors import DichotomyViolation, ValidationError
+from .errors import DichotomyViolation, NotAChainMap, ValidationError
 from .graded import CochainComplex, CohomologyResult, GradedMap, GradedSpace, euler, induced_map
 from .qlinalg import Matrix, QuotientSpace, RunningSpan, Subspace, kernel_basis, quotient
 
@@ -97,7 +97,9 @@ def validate_chain_special(cs: ChainSpecial, cx: CochainComplex) -> None:
 
     The functional must kill coboundaries (delta o d_3 = 0), the vector
     must be a cocycle (d_1 o delta' = 0), and the degree +4 operator must
-    commute with the differential.
+    be an endomap of degree +4; that it commutes with the differential is
+    checked once, when ``induce_special`` (reached through
+    ``instance.chain_instance``) induces it on cohomology.
     """
     if cs.delta.rows != 1 or cs.delta.cols != cx.space.dim(4):
         raise ValidationError("delta must be a functional on the degree-4 cochains")
@@ -109,9 +111,6 @@ def validate_chain_special(cs: ChainSpecial, cx: CochainComplex) -> None:
         raise ValidationError("delta'(1) is not a cocycle (d o delta' != 0)")
     if cs.v.shift != 4 or cs.v.source != cx.space or cs.v.target != cx.space:
         raise ValidationError("v must be a degree +4 endomap of the complex")
-    for q in range(8):
-        if cs.v.block(q + 1) @ cx.d.block(q) != cx.d.block(q + 4) @ cs.v.block(q):
-            raise ValidationError(f"v is not a chain map at degree {q}")
 
 
 def derive_case(deltas, deltas_prime) -> Case:
@@ -166,14 +165,14 @@ class SpecialPair:
                     )
 
 
-def krylov_families(d0: Matrix, p0: Matrix, v_blocks, dims, n_min: int):
+def krylov_families(d0: Matrix, p0: Matrix, v_blocks, dims, n_min: int) -> SpecialPair:
     """Iterate delta_{n+1} = delta_n o V and delta'_{n+1} = V o delta'_n.
 
     ``v_blocks[q]`` is the block of V on degree q.  Each parity subfamily
     is a Krylov sequence of a fixed operator, so one step that does not
     grow its span means the span is final; iteration runs past ``n_min``
     until all four parity spans have stopped.  Each span grows in one
-    running echelon form.  Returns the member lists.
+    running echelon form.  Returns the pair, tagged with its derived case.
     """
     deltas: list[Matrix] = []
     primes: list[Matrix] = []
@@ -189,7 +188,7 @@ def krylov_families(d0: Matrix, p0: Matrix, v_blocks, dims, n_min: int):
             if not spans[q].add(n, vec):
                 stable.add(q)
         if n >= n_min and len(stable) == 4:
-            return deltas, primes
+            return SpecialPair(n, tuple(deltas), tuple(primes), derive_case(deltas, primes))
         if n >= cap:
             raise ValidationError("family spans failed to stabilize below the hard cap")
         d = d @ v_blocks[delta_degree(n + 1)]
@@ -208,15 +207,17 @@ def induce_special(cs: ChainSpecial, coh: CohomologyResult, n_max: int = 4) -> S
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
     validate_chain_special(cs, coh.complex)
-    vh = induced_map(cs.v, coh, coh)
-    deltas, primes = krylov_families(
+    try:
+        vh = induced_map(cs.v, coh, coh)
+    except NotAChainMap:
+        raise NotAChainMap("v does not commute with the differentials") from None
+    return krylov_families(
         cs.delta @ coh.rep_section[4],
         coh.class_projection[1] @ cs.delta_prime,
         vh.blocks,
         coh.h_space.dims,
         n_max,
     )
-    return SpecialPair(len(deltas) - 1, tuple(deltas), tuple(primes), derive_case(deltas, primes))
 
 
 def tower_members(sp: SpecialPair, q: int) -> tuple[tuple[int, Matrix], ...]:

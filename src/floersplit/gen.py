@@ -18,7 +18,9 @@ into an acyclic part mapped isomorphically one degree up and a harmonic
 part, which plants the cohomology; the whole package (differential,
 degree +4 operator, special data, cobordism map) is then conjugated by a
 random unimodular word of shears, swaps and negations per degree, applied
-as row and column operations, so nothing stays coordinate-aligned.
+as row and column operations, so nothing stays coordinate-aligned.  The
+loader's constructor, ``instance.chain_instance``, builds the instance
+from that package, so it equals its loaded document by construction.
 """
 
 from __future__ import annotations
@@ -38,12 +40,11 @@ from .froyshov import (
     ChainSpecial,
     SpecialPair,
     derive_case,
-    induce_special,
     krylov_families,
     tower_members,
 )
-from .graded import CochainComplex, GradedMap, GradedSpace, cohomology, induced_map
-from .instance import COHOMOLOGY, Instance, LEVEL_CHAIN, LEVEL_COHOMOLOGY
+from .graded import CochainComplex, GradedMap, GradedSpace
+from .instance import COHOMOLOGY, Instance, LEVEL_COHOMOLOGY, chain_instance
 from .qlinalg import Matrix, RunningSpan, kernel_basis, solve
 
 _CASES = (Case.DELTA_SIDE, Case.DELTA_PRIME_SIDE, Case.BOTH_ZERO)
@@ -391,8 +392,7 @@ def gen_chain_instance(cfg: GenConfig) -> Instance:
 
     d0 = Matrix.row_vector([delta_chain[cf[4] - h[4] + i] for i in range(h[4])], cols=h[4])
     p0 = Matrix.column([prime_chain[cf[1] - h[1] + i] for i in range(h[1])])
-    deltas, primes = krylov_families(d0, p0, vhh, h, cfg.n_max)
-    pair = SpecialPair(len(deltas) - 1, tuple(deltas), tuple(primes), derive_case(deltas, primes))
+    pair = krylov_families(d0, p0, vhh, h, cfg.n_max)
     w_hh, planted_a, planted_b = _w_blocks(rng, GradedSpace.of(h), pair, cfg.periodic)
     w_blocks = _split_chain_map(rng, a, h, cf, 0, dict(enumerate(w_hh)))
 
@@ -406,38 +406,25 @@ def gen_chain_instance(cfg: GenConfig) -> Instance:
     delta_row = _change_basis(delta_row, (), words[4])
     prime_col = _change_basis(prime_col, words[1], ())
 
-    cx = CochainComplex(cf_space, GradedMap(cf_space, cf_space, 1, tuple(d_blocks)))
-    cs = ChainSpecial(delta_row, prime_col, GradedMap(cf_space, cf_space, 4, tuple(v_blocks)))
-    coh = cohomology(cx)
-    if coh.h_space.dims != tuple(h):
-        raise Infeasible(f"planted cohomology dims not reproduced (seed {cfg.seed})")
-    pair_induced = induce_special(cs, coh, cfg.n_max)
-    chain_w = GradedMap(cf_space, cf_space, 0, tuple(w_blocks))
-    w = induced_map(chain_w, coh, coh)
-
-    inst = Instance(
-        space=coh.h_space,
-        pair=pair_induced,
-        w=w,
+    inst = chain_instance(
+        CochainComplex(cf_space, GradedMap(cf_space, cf_space, 1, tuple(d_blocks))),
+        ChainSpecial(delta_row, prime_col, GradedMap(cf_space, cf_space, 4, tuple(v_blocks))),
+        GradedMap(cf_space, cf_space, 0, tuple(w_blocks)),
+        cfg.n_max,
         w_label=f"W(seed={cfg.seed})",
-        convention=COHOMOLOGY,
-        level=LEVEL_CHAIN,
-        complex=cx,
-        chain_special=cs,
-        chain_w=chain_w,
-        metadata={
-            "name": f"genchain-{cfg.seed}",
-            "seed": cfg.seed,
-            "generator": "gen_chain_instance",
-            "case": pair_induced.case.value,
-            "planted_h_dims": list(h),
-            **_planted_metadata(planted_a, planted_b),
-        },
     )
-    report = validate_relations(w, pair_induced)
-    if not report.ok:
+    if inst.space.dims != tuple(h):
+        raise Infeasible(f"planted cohomology dims not reproduced (seed {cfg.seed})")
+    if not validate_relations(inst.w, inst.pair).ok:
         raise Infeasible(f"generated chain instance failed validation (seed {cfg.seed})")
-    return inst
+    return dataclasses.replace(inst, metadata={
+        "name": f"genchain-{cfg.seed}",
+        "seed": cfg.seed,
+        "generator": "gen_chain_instance",
+        "case": inst.pair.case.value,
+        "planted_h_dims": list(h),
+        **_planted_metadata(planted_a, planted_b),
+    })
 
 
 def product_cobordism(instance: Instance) -> Instance:

@@ -4,7 +4,8 @@ cobordism map, grading-convention flag, and optional chain-level data.
 Instances are always stored internally in the cohomology convention;
 ``convention`` records how the source document was graded so reports can
 show the user's numbers.  ``relabel`` is the one place that convention is
-applied, at the document and report boundary.
+applied, at the document and report boundary.  ``chain_instance`` is the
+one path from chain-level data to an instance, for loader and generator.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
-from .errors import ValidationError
-from .froyshov import ChainSpecial, SpecialPair
-from .graded import CochainComplex, GradedMap, GradedSpace, regrade
+from .errors import NotAChainMap, ValidationError
+from .froyshov import ChainSpecial, SpecialPair, induce_special
+from .graded import CochainComplex, GradedMap, GradedSpace, cohomology, induced_map, regrade
 
 HOMOLOGY = "homology"
 COHOMOLOGY = "cohomology"
@@ -65,3 +66,21 @@ class Instance:
     @property
     def name(self) -> str:
         return str(self.metadata.get("name", "unnamed"))
+
+
+def chain_instance(
+    cx: CochainComplex, cs: ChainSpecial, chain_w: GradedMap, n_max: int,
+    w_label: str = "W", convention: str = COHOMOLOGY, metadata: Mapping[str, Any] | None = None,
+) -> Instance:
+    """The instance chain-level data determines: the cohomology of ``cx``
+    and the families and the map W induced on it, each computed once."""
+    coh = cohomology(cx)
+    pair = induce_special(cs, coh, n_max)
+    try:
+        w = induced_map(chain_w, coh, coh)
+    except NotAChainMap:
+        raise NotAChainMap("W does not commute with the differentials") from None
+    return Instance(
+        coh.h_space, pair, w, w_label, convention, LEVEL_CHAIN,
+        complex=cx, chain_special=cs, chain_w=chain_w, metadata=metadata or {},
+    )

@@ -6,8 +6,10 @@ homology-convention document is relabeled on load (degree q to 5 - q mod
 cohomology convention, and written back out the same way so the user's
 numbers round-trip bit-exactly.  Rational entries are JSON integers or
 strings matching ``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator, never
-floats.  Loading parses, regrades and checks shapes only; the relations
-and the reduced theory are validated once, where the instance is used:
+floats.  Loading parses, regrades and checks shapes; at chain level it
+also computes cohomology and induces the families and W on it, through
+``instance.chain_instance``.  The relations and the reduced theory are
+validated once, where the instance is used:
 ``verify_splitting``, ``floersplit trace`` and ``validate_instance``
 (re-exported here) each run that validation prefix.
 """
@@ -21,9 +23,9 @@ from typing import Any
 
 from .cobordism import validate_instance  # noqa: F401  re-exported
 from .errors import ParseError
-from .froyshov import FAMILIES, MAX_N_MAX, Case, ChainSpecial, SpecialPair, induce_special
-from .graded import CochainComplex, GradedMap, GradedSpace, cohomology, induced_map
-from .instance import COHOMOLOGY, HOMOLOGY, Instance, LEVEL_CHAIN, LEVEL_COHOMOLOGY, relabel
+from .froyshov import FAMILIES, MAX_N_MAX, Case, ChainSpecial, SpecialPair
+from .graded import CochainComplex, GradedMap, GradedSpace
+from .instance import COHOMOLOGY, HOMOLOGY, Instance, LEVEL_CHAIN, LEVEL_COHOMOLOGY, chain_instance, relabel
 from .qlinalg import Matrix
 
 SCHEMA_VERSION = "1"
@@ -36,10 +38,10 @@ MAX_DIM = 128
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
-def _shown(value) -> str:
-    """A document value in an error message: a short string or a small
-    integer as written, anything else by its type alone, so that no huge
-    or deeply nested value is ever rendered."""
+def shown(value) -> str:
+    """A document value or a command-line argument in an error message: a
+    short string or a small integer as written, anything else by its type
+    alone, so that no huge or deeply nested value is ever rendered."""
     small = isinstance(value, str) and len(value) <= 40 or isinstance(value, int) and abs(value) < 2**64
     return repr(value) if small or value is None else type(value).__name__
 
@@ -139,13 +141,13 @@ def document_to_instance(doc: Any) -> Instance:
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ParseError(f"unsupported schema_version {_shown(doc.get('schema_version'))}")
+        raise ParseError(f"unsupported schema_version {shown(doc.get('schema_version'))}")
     convention = doc.get("convention")
     if convention not in (HOMOLOGY, COHOMOLOGY):
-        raise ParseError(f"unknown convention {_shown(convention)}")
+        raise ParseError(f"unknown convention {shown(convention)}")
     level = doc.get("level")
     if level not in (LEVEL_COHOMOLOGY, LEVEL_CHAIN):
-        raise ParseError(f"unknown level {_shown(level)}")
+        raise ParseError(f"unknown level {shown(level)}")
     metadata = doc.get("metadata") or {}
     if not isinstance(metadata, dict):
         raise ParseError("metadata must be an object")
@@ -173,32 +175,27 @@ def document_to_instance(doc: Any) -> Instance:
         case_str = special.get("case")
         case = next((c for c in Case if c.value == case_str), None)
         if case is None:
-            raise ParseError(f"unknown case {_shown(case_str)}")
+            raise ParseError(f"unknown case {shown(case_str)}")
         space, w = relabel(h_doc, convention), relabel(w_doc, convention)
         deltas, primes = _family_from_json(special, space, n_max)
-        pair, chain = SpecialPair(n_max, deltas, primes, case), {}
-    else:
-        cf_doc = _dims_from_json(spaces.get("cf"), "spaces.cf")
-        d_shift_doc = 1 if convention == COHOMOLOGY else 7
-        d_doc = _graded_map_from_json(doc.get("differential"), cf_doc, d_shift_doc, "differential")
-        v_doc = _graded_map_from_json(doc.get("v"), cf_doc, 4, "v")
-        w_doc = _graded_map_from_json(cob["blocks"], cf_doc, 0, "cobordism.blocks")
-        cf_space = relabel(cf_doc, convention)
-        delta = matrix_from_json(doc.get("delta"), 1, cf_space.dim(4), "delta")
-        delta_prime = matrix_from_json(doc.get("delta_prime"), cf_space.dim(1), 1, "delta_prime")
-        n_max = doc.get("n_max", 4)
-        if not isinstance(n_max, int) or isinstance(n_max, bool) or not 1 <= n_max <= MAX_N_MAX:
-            raise ParseError(f"n_max must be an integer from 1 to {MAX_N_MAX}")
-        d_map, v_map, w_chain = (relabel(x, convention) for x in (d_doc, v_doc, w_doc))
-        cx = CochainComplex(cf_space, d_map)
-        cs = ChainSpecial(delta, delta_prime, v_map)
-        coh = cohomology(cx)
-        pair = induce_special(cs, coh, n_max)
-        space, w = coh.h_space, induced_map(w_chain, coh, coh)
-        chain = {"complex": cx, "chain_special": cs, "chain_w": w_chain}
-    return Instance(
-        space=space, pair=pair, w=w, w_label=label,
-        convention=convention, level=level, metadata=metadata, **chain,
+        pair = SpecialPair(n_max, deltas, primes, case)
+        return Instance(space, pair, w, label, convention, level, metadata=metadata)
+
+    cf_doc = _dims_from_json(spaces.get("cf"), "spaces.cf")
+    d_shift_doc = 1 if convention == COHOMOLOGY else 7
+    d_doc = _graded_map_from_json(doc.get("differential"), cf_doc, d_shift_doc, "differential")
+    v_doc = _graded_map_from_json(doc.get("v"), cf_doc, 4, "v")
+    w_doc = _graded_map_from_json(cob["blocks"], cf_doc, 0, "cobordism.blocks")
+    cf_space = relabel(cf_doc, convention)
+    delta = matrix_from_json(doc.get("delta"), 1, cf_space.dim(4), "delta")
+    delta_prime = matrix_from_json(doc.get("delta_prime"), cf_space.dim(1), 1, "delta_prime")
+    n_max = doc.get("n_max", 4)
+    if not isinstance(n_max, int) or isinstance(n_max, bool) or not 1 <= n_max <= MAX_N_MAX:
+        raise ParseError(f"n_max must be an integer from 1 to {MAX_N_MAX}")
+    d_map, v_map, w_chain = (relabel(x, convention) for x in (d_doc, v_doc, w_doc))
+    return chain_instance(
+        CochainComplex(cf_space, d_map), ChainSpecial(delta, delta_prime, v_map), w_chain, n_max,
+        w_label=label, convention=convention, metadata=metadata,
     )
 
 

@@ -374,13 +374,11 @@ MUTATIONS = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.data())
-def test_mutated_fixture_loads_or_raises_an_engine_error(data):
-    """One node of a fixture document (the root included) replaced by a
-    wrong type, a huge int, an empty container or a deep nest either
-    loads or raises an EngineError subclass, quickly."""
-    doc = json.loads(json.dumps(FIXTURE_DOCS[data.draw(st.sampled_from(sorted(FIXTURE_DOCS)))]))
+def _load_mutated(data, source: dict) -> None:
+    """Replace one node of a copy of ``source`` (the root included) by a
+    drawn mutation; the copy either loads or raises an EngineError
+    subclass, within 2 s of CPU time."""
+    doc = json.loads(json.dumps(source))
     path = data.draw(st.sampled_from(list(_node_paths(doc))))
     mutation = data.draw(MUTATIONS)
     if path:
@@ -396,6 +394,26 @@ def test_mutated_fixture_loads_or_raises_an_engine_error(data):
     except EngineError:
         pass
     assert time.process_time() - start < 2.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_fixture_loads_or_raises_an_engine_error(data):
+    """One node of a fixture document replaced by a wrong type, a huge
+    int, an empty container or a deep nest loads or fails cleanly."""
+    _load_mutated(data, FIXTURE_DOCS[data.draw(st.sampled_from(sorted(FIXTURE_DOCS)))])
+
+
+CHAIN_DOC = instance_to_document(gen_chain_instance(GenConfig(seed=2, chain_level=True)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_chain_document_loads_or_raises_an_engine_error(data):
+    """The same mutations on a chain-level document, which loading turns
+    into an instance through ``chain_instance``: cohomology, the induced
+    families and the induced W."""
+    _load_mutated(data, CHAIN_DOC)
 
 
 def test_dichotomy_violation_on_load_clean():
@@ -529,6 +547,53 @@ def test_cli_verify_parse_error(tmp_path, capsys):
     assert main(["verify", str(path)]) == 3
     assert main(["verify", "catalog:missing"]) == 3
     assert main(["verify", str(tmp_path / "absent.json")]) == 3
+
+
+@pytest.mark.parametrize(
+    "where,line",
+    [
+        (("v", 0), "validation error: NotAChainMap: v does not commute with the differentials"),
+        (
+            ("cobordism", "blocks", 0),
+            "validation error: NotAChainMap: W does not commute with the differentials",
+        ),
+    ],
+    ids=["v", "W"],
+)
+def test_cli_verify_names_the_map_that_is_not_a_chain_map(where, line, tmp_path, capsys):
+    doc = copy.deepcopy(CHAIN_DOC)
+    block = doc
+    for key in where:
+        block = block[key]
+    block[0][0] = rational_to_json(rational_from_json(block[0][0]) + 1)  # one entry changed
+    path = tmp_path / "not-a-chain-map.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
+
+
+LONG = "x" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: ["verify", "gen:" + "9" * 5000],  # past int()'s digit limit
+        lambda tmp: ["verify", "catalog:" + LONG],
+        lambda tmp: ["verify", str(tmp / LONG)],
+        lambda tmp: ["sweep", "--seeds", LONG],
+        lambda tmp: ["sweep", "--seeds", "1..1", "--case-mix", LONG],
+    ],
+    ids=["gen", "catalog", "path", "seeds", "case-mix"],
+)
+def test_cli_error_never_echoes_a_long_argument(argv, tmp_path, capsys):
+    assert main(argv(tmp_path)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and len(lines[0].encode()) < 200
 
 
 @pytest.mark.parametrize("family", ["deltas", "deltas_prime"])
