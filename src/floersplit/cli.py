@@ -3,10 +3,10 @@
 Targets are file paths, ``catalog:NAME`` or ``gen:SEED``.  Exit codes:
 0 pass, 1 a checked identity failed, 2 the instance failed validation or
 any other engine error (such as an infeasible generator seed), 3 an I/O
-or parse problem.  Every engine error ends in one stderr line, never a
-traceback.  ``--format json`` emits a versioned report with all
-rationals as strings; set REPORT_COLOR=1 for colored PASS/FAIL in text
-mode.
+or parse problem; a malformed command line exits 2, argparse's code.
+Every error ends in one stderr line, never a traceback.  ``--format
+json`` emits a versioned report with all rationals as strings; set
+REPORT_COLOR=1 for colored PASS/FAIL in text mode.
 """
 
 from __future__ import annotations
@@ -337,11 +337,27 @@ def cmd_catalog(args) -> int:
     raise ParseError(f"unknown catalog action {args.action!r}")
 
 
+def _int_arg(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        # argparse's own message echoes the whole value
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with each command-line error as one stderr line, without
+    the usage text; the exit code stays argparse's 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process on first use;
     ``parse_args`` keeps no state between calls, so it is shared."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="floersplit",
         description="Exact verification of Lefschetz-number splitting identities "
         "for mod-8 graded Floer (co)homology data.",
@@ -359,17 +375,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="replay the filtration towers step by step")
     p.add_argument("target")
-    p.add_argument("--tower", type=int, choices=[0, 1, 4, 5], default=None)
+    p.add_argument("--tower", type=_int_arg, choices=[0, 1, 4, 5], default=None)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("sweep", help="generate and verify a seed range")
     p.add_argument("--seeds", required=True, help="inclusive range A..B")
-    p.add_argument("--max-dim", type=int, default=6)
-    p.add_argument("--nmax", type=int, default=4)
+    p.add_argument("--max-dim", type=_int_arg, default=6)
+    p.add_argument("--nmax", type=_int_arg, default=4)
     p.add_argument("--case-mix", default="2,2,1")
     p.add_argument("--periodic", action="store_true")
     p.add_argument("--chain-level", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_arg, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("catalog", help="list, show or export the built-in fixtures")
@@ -397,7 +413,9 @@ def main(argv=None) -> int:
         print(f"engine error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as e:
-        print(f"i/o error: {e}", file=sys.stderr)
+        # the OSError's own text repeats the file name, which may be huge
+        name = "" if e.filename is None else f" on {shown(e.filename)}"
+        print(f"i/o error{name}: {e.strerror or type(e).__name__}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -4,8 +4,12 @@ sections, restrictions, traces.
 
 Everything is immutable and canonical.  Scalars are ``fractions.Fraction``,
 so all arithmetic is exact and every comparison downstream is an equality,
-never a tolerance.  Subspace bases are kept in column-reduced echelon form,
-which makes subspace equality plain representation equality.
+never a tolerance.  Inside a matrix product the arithmetic is on Python
+ints: each operand is scaled by the lcm of its denominators, and each
+nonzero result entry is divided once, so the product holds normalized
+``Fraction`` entries like every other matrix.  Subspace bases are
+kept in column-reduced echelon form, which makes subspace equality plain
+representation equality.
 
 There is one elimination, the running echelon form of ``RunningSpan``
 behind ``rref``, ``solve`` and the kernels.  A canonical basis is the
@@ -22,6 +26,7 @@ the map it induces is the map itself, returned without a product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -126,17 +131,23 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        # Most operands here are mostly zero: read the right operand's
-        # nonzeros once per row and skip every product with a zero factor.
-        nonzeros = [[(j, b) for j, b in enumerate(r) if b] for r in other.entries]
-        out = []
-        for row in self.entries:
-            acc = [Q(0)] * other.cols
-            for a, nz in zip(row, nonzeros):
-                if a:
-                    for j, b in nz:
-                        acc[j] += a * b
-            out.append(tuple(acc))
+        # One product runs on integers: each operand is scaled by the lcm
+        # of its denominators, ints are multiplied and summed, and each
+        # nonzero result entry is divided once.  Most operands here are
+        # mostly zero, so only nonzeros are read and no product has a zero
+        # factor.
+        ls, left = _scaled_nonzeros(self.entries)
+        lo, right = _scaled_nonzeros(other.entries)
+        scale, zero, out = ls * lo, Q(0), []
+        for row in left:
+            acc = [0] * other.cols
+            for k, a in row:
+                for j, b in right[k]:
+                    acc[j] += a * b
+            if scale == 1:
+                out.append(tuple(Q(x) if x else zero for x in acc))
+            else:
+                out.append(tuple(Q(x, scale) if x else zero for x in acc))
         return Matrix(self.rows, other.cols, tuple(out))
 
     def transpose(self) -> "Matrix":
@@ -169,6 +180,16 @@ class Matrix:
             return f"Matrix({self.rows}x{self.cols})"
         body = "; ".join(" ".join(str(x) for x in r) for r in self.entries)
         return f"Matrix[{body}]"
+
+
+def _scaled_nonzeros(entries) -> tuple[int, list[list[tuple[int, int]]]]:
+    """The lcm of the entries' denominators, and each row's nonzeros
+    times it as (column, integer) pairs."""
+    ratios = [[(j, x.as_integer_ratio()) for j, x in enumerate(r) if x] for r in entries]
+    scale = math.lcm(*{d for r in ratios for _, (_, d) in r})
+    if scale == 1:
+        return 1, [[(j, n) for j, (n, _) in r] for r in ratios]
+    return scale, [[(j, n * (scale // d)) for j, (n, d) in r] for r in ratios]
 
 
 class RrefResult(NamedTuple):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from floersplit.qlinalg import (
 )
 
 from helpers import (
+    above_2_100,
     dense_kernel_basis,
     dense_matmul,
     dense_rref,
@@ -95,6 +97,43 @@ def test_matmul_equals_dense_reference(ab):
     assert got == dense_matmul(a, b)
     assert (got.rows, got.cols) == (a.rows, b.cols)
     assert all(type(x) is Fraction for r in got.entries for x in r)
+
+
+# A product scales each operand by the lcm of its denominators: draw
+# operands that are integral or not, independently, with three in four
+# entries zero, numerators small or above 2**100, and denominators that
+# are large and pairwise coprime, so the two scales are large and distinct.
+coprime_denominators = st.sampled_from([1, 2, 7, 2**61 - 1, 3**40, 5**27])
+scaled_numerators = st.one_of(st.integers(-4, 4), above_2_100, above_2_100.map(lambda p: -p))
+
+
+def scaled_block(rows, cols, integral):
+    denominators = st.just(1) if integral else coprime_denominators
+    scalar = st.tuples(st.integers(0, 3), scaled_numerators, denominators).map(
+        lambda t: Fraction(t[1], t[2]) if t[0] == 0 else 0
+    )
+    return st.lists(
+        st.lists(scalar, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(lambda r: Matrix.from_rows(r, cols=cols))
+
+
+@st.composite
+def scaled_pairs(draw, max_dim=5):
+    n, k, m = (draw(st.integers(0, max_dim)) for _ in range(3))
+    left_integral, right_integral = draw(st.booleans()), draw(st.booleans())
+    return draw(scaled_block(n, k, left_integral)), draw(scaled_block(k, m, right_integral))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scaled_pairs())
+def test_integer_scaled_matmul_equals_dense_reference(ab):
+    a, b = ab
+    got = a @ b
+    assert got == dense_matmul(a, b)
+    assert (got.rows, got.cols) == (a.rows, b.cols)
+    for x in (x for r in got.entries for x in r):
+        assert type(x) is Fraction
+        assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
 
 
 def test_matmul_empty_shapes():

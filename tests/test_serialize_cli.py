@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
+import decimal
+import io
 import json
 import pathlib
+import tempfile
 import time
 from fractions import Fraction
 
@@ -374,20 +378,25 @@ MUTATIONS = st.one_of(
 )
 
 
-def _load_mutated(data, source: dict) -> None:
-    """Replace one node of a copy of ``source`` (the root included) by a
-    drawn mutation; the copy either loads or raises an EngineError
-    subclass, within 2 s of CPU time."""
+def _mutated(data, source: dict):
+    """A copy of ``source`` with one node (the root included) replaced by
+    a drawn mutation."""
     doc = json.loads(json.dumps(source))
     path = data.draw(st.sampled_from(list(_node_paths(doc))))
     mutation = data.draw(MUTATIONS)
-    if path:
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = mutation
-    else:
-        doc = mutation
+    if not path:
+        return mutation
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = mutation
+    return doc
+
+
+def _load_mutated(data, source: dict) -> None:
+    """A mutated copy of ``source`` either loads or raises an EngineError
+    subclass, within 2 s of CPU time."""
+    doc = _mutated(data, source)
     start = time.process_time()
     try:
         assert isinstance(document_to_instance(doc), Instance)
@@ -402,6 +411,56 @@ def test_mutated_fixture_loads_or_raises_an_engine_error(data):
     """One node of a fixture document replaced by a wrong type, a huge
     int, an empty container or a deep nest loads or fails cleanly."""
     _load_mutated(data, FIXTURE_DOCS[data.draw(st.sampled_from(sorted(FIXTURE_DOCS)))])
+
+
+def _json_text(node) -> str:
+    """JSON text of a document, written without recursion and without
+    ``str`` of an int: ``json.dumps`` refuses a nest past the recursion
+    limit and an int past the digit limit, which the reader must bound."""
+    out, todo = [], [node]
+    while todo:
+        x = todo.pop()
+        if type(x) is tuple:  # punctuation queued below
+            out.append(x[0])
+        elif type(x) is list:
+            out.append("[")
+            todo.append(("]",))
+            for i in reversed(range(len(x))):
+                todo += [x[i], (",",)] if i else [x[i]]
+        elif type(x) is dict:
+            out.append("{")
+            todo.append(("}",))
+            items = list(x.items())
+            for i in reversed(range(len(items))):
+                key, value = items[i]
+                todo += [value, (("," if i else "") + json.dumps(key) + ":",)]
+        elif type(x) is int:
+            out.append(str(decimal.Decimal(x)))
+        else:
+            out.append(json.dumps(x))
+    return "".join(out)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_fixture_file_verifies_with_a_documented_exit(data):
+    """The fixture mutations written to a file and run through
+    ``floersplit verify``, where the JSON reader meets them first: an exit
+    code 0 to 3, at most one stderr line and no traceback, within 2 s of
+    CPU time."""
+    doc = _mutated(data, FIXTURE_DOCS[data.draw(st.sampled_from(sorted(FIXTURE_DOCS)))])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "mutated.json"
+        path.write_text(_json_text(doc), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        start = time.process_time()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", str(path)])
+        assert time.process_time() - start < 2.0
+    assert code in (0, 1, 2, 3)
+    lines = err.getvalue().splitlines()
+    assert len(lines) <= 1 and "Traceback" not in err.getvalue()
+    assert all(len(line) < 300 for line in lines)
 
 
 CHAIN_DOC = instance_to_document(gen_chain_instance(GenConfig(seed=2, chain_level=True)))
@@ -585,8 +644,9 @@ LONG = "x" * 5000
         lambda tmp: ["verify", str(tmp / LONG)],
         lambda tmp: ["sweep", "--seeds", LONG],
         lambda tmp: ["sweep", "--seeds", "1..1", "--case-mix", LONG],
+        lambda tmp: ["catalog", "export", "akbulut_cork_mapping_torus", str(tmp / LONG)],
     ],
-    ids=["gen", "catalog", "path", "seeds", "case-mix"],
+    ids=["gen", "catalog", "path", "seeds", "case-mix", "export"],
 )
 def test_cli_error_never_echoes_a_long_argument(argv, tmp_path, capsys):
     assert main(argv(tmp_path)) == 3
@@ -594,6 +654,25 @@ def test_cli_error_never_echoes_a_long_argument(argv, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and len(lines[0].encode()) < 200
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("sweep", "--jobs"), ("sweep", "--max-dim"), ("sweep", "--nmax"), ("trace", "--tower")],
+)
+@pytest.mark.parametrize("value, rendered", [(LONG, "str"), ("1.5", "'1.5'")], ids=["long", "short"])
+def test_cli_bad_int_flag_is_one_line_exit_2(command, flag, value, rendered, capsys):
+    """argparse's own type error, without its usage text and without
+    echoing a long value; the exit code stays argparse's 2."""
+    target = ["--seeds", "1..1"] if command == "sweep" else ["catalog:sigma_2_7_13"]
+    with pytest.raises(SystemExit) as info:
+        main([command, *target, flag, value])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"floersplit {command}: error: argument {flag}: invalid int value: {rendered}"
+    ]
 
 
 @pytest.mark.parametrize("family", ["deltas", "deltas_prime"])
