@@ -22,7 +22,6 @@ from . import catalog, serialize
 from .cobordism import (
     CaseTrace,
     SplittingVerdict,
-    trace_refinement,
     trace_towers,
     validate_instance,
     verify_splitting,
@@ -228,8 +227,12 @@ def _sweep_one(task) -> dict:
     try:
         instance = gen_instance(cfg)
         out["case"] = instance.pair.case.value
-        verify_splitting(instance, with_trace=True, raise_on_failure=True)
-        ref = trace_refinement(instance)
+        verdict = verify_splitting(instance, with_trace=True)
+        if not verdict.passed:
+            raise TheoremCounterexample(
+                f"splitting identities failed on a validated instance: {verdict}"
+            )
+        ref = verdict.refinement
         if not ref.ok:
             raise TheoremCounterexample(
                 f"degreewise refinement fails: {ref.diffs} vs {ref.expected}"
@@ -347,7 +350,24 @@ def _int_arg(text: str) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse with each command-line error as one stderr line, without
-    the usage text; the exit code stays argparse's 2."""
+    the usage text, naming a bad value by ``shown``; the exit code stays
+    argparse's 2."""
+
+    def _check_value(self, action, value):
+        # argparse's choice check (subcommands included); its own message
+        # echoes the whole value
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {shown(value)} (choose from {choices})"
+            )
+
+    def parse_args(self, args=None, namespace=None):
+        namespace, extra = self.parse_known_args(args, namespace)
+        if extra:
+            more = f" and {len(extra) - 1} more" if len(extra) > 1 else ""
+            self.error(f"unrecognized arguments: {shown(extra[0])}{more}")
+        return namespace
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")

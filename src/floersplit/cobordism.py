@@ -19,7 +19,10 @@ is applied only to the reported numbers.
 The replay reads the one tower walk of ``froyshov.tower``: a kernel tower
 in degrees 0 and 4 (trace of the map restricted to each stage) and a span
 tower in degrees 1 and 5 (trace induced on each quotient), with the same
-per-step and end identities checked on both kinds by ``trace_towers``.
+per-step identity checked on both kinds by ``trace_towers``: a step is
+active exactly when the walk's stage changed, and the trace drops by one
+then and stays put otherwise.  The verdict carries the degreewise
+refinement built from the reduced theory and W-hat it already holds.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .errors import (
     NoSolution,
     RelationViolation,
     StepMismatch,
-    TheoremCounterexample,
 )
 from .froyshov import (
     FAMILIES,
@@ -50,7 +52,6 @@ from .instance import HOMOLOGY, Instance, relabel
 from .qlinalg import (
     Matrix,
     RunningSpan,
-    Subspace,
     induced_on_quotient,
     quotient,
     restrict,
@@ -226,50 +227,32 @@ def _replay_tower(block: Matrix, degree: int, members) -> TowerLog:
     Kernel towers (degrees 0 and 4) follow the trace of the map restricted
     to each stage; it restricts because its defect is spanned by earlier
     members, which vanish there.  Span towers (degrees 1 and 5) follow the
-    trace induced on the quotient by each stage.  The trace must drop by
-    exactly one when the member acts on the previous stage (a functional
-    nonzero on it, a vector outside it) and stay put otherwise.  Three
-    exact identities are checked at the end, with ``removed`` the
-    codimension of Z or the dimension of B so far: the exact-sequence step
-    relating the first stage's trace to the trace on the full space, the
-    induction conclusion relating it to the final trace, and the total
-    drop equal to the final ``removed``.
+    trace induced on the quotient by each stage.  A step is active when
+    the walk's stage changed: a functional nonzero on the previous stage
+    cuts the common kernel by one, a vector outside it grows the span by
+    one.  The trace must drop by exactly one at an active step and stay
+    put otherwise; ``removed`` (the codimension of Z or the dimension of B
+    so far) counts the active steps, so the total drop equals it.
     """
     kind = "kernel" if degree in (0, 4) else "span"
     dim = block.rows
     start_trace = prev_trace = trace(block)
     steps = []
-    first = None  # (trace, removed) after the first step
     removed = 0
-    for n, member, prev, stage in tower(dim, degree, members):
+    for n, _, prev, stage in tower(dim, degree, members):
+        active = stage.dim != prev.dim
         if kind == "kernel":
-            active = not (member @ prev.basis).is_zero
             t = trace(restrict(block, stage))
-            removed = dim - stage.dim
         else:
-            active = not prev.contains(Subspace.span(dim, member))
             t = trace(induced_on_quotient(block, quotient(dim, stage)))
-            removed = stage.dim
+        removed += active
         drop = prev_trace - t
-        expected = Fraction(1 if active else 0)
-        if drop != expected:
+        if drop != active:
             raise StepMismatch(
-                f"{kind} tower at degree {degree}: step {n} dropped {drop}, expected {expected}"
+                f"{kind} tower at degree {degree}: step {n} dropped {drop}, expected {int(active)}"
             )
         steps.append(TowerStep(n, dim - removed, t, active, drop))
         prev_trace = t
-        if first is None:
-            first = (t, removed)
-    if first is not None:
-        first_trace, first_removed = first
-        if first_trace != start_trace - first_removed:
-            raise StepMismatch(f"{kind} tower at degree {degree}: exact-sequence step fails")
-        if first_trace != (removed - first_removed) + prev_trace:
-            raise StepMismatch(f"{kind} tower at degree {degree}: induction conclusion fails")
-    if start_trace - prev_trace != removed:
-        raise StepMismatch(
-            f"{kind} tower at degree {degree}: total drop differs from the removed dim {removed}"
-        )
     return TowerLog(
         degree, kind, dim, start_trace, tuple(steps), dim - removed, prev_trace, removed
     )
@@ -321,6 +304,7 @@ class SplittingVerdict:
     hf_dims: tuple[int, ...]
     case: Case
     w_label: str
+    refinement: RefinementReport
     trace_log: CaseTrace | None = None
 
     @property
@@ -328,14 +312,13 @@ class SplittingVerdict:
         return self.identity_hx_equals_hy and self.identity_splitting
 
 
-def verify_splitting(
-    instance: Instance, with_trace: bool = False, raise_on_failure: bool = False
-) -> SplittingVerdict:
+def verify_splitting(instance: Instance, with_trace: bool = False) -> SplittingVerdict:
     """Validate an instance and check both splitting identities exactly.
 
-    Validation errors propagate.  On a validated instance a failing
-    identity would contradict the trace replay that the towers certify,
-    so with ``raise_on_failure`` it is reported as TheoremCounterexample;
+    Validation errors propagate.  The verdict carries the degreewise
+    refinement, read from the same reduced theory and W-hat, and with
+    ``with_trace`` the tower replay.  On a validated instance a failing
+    identity would contradict the trace replay that the towers certify;
     seeing one means an engine bug, not interesting mathematics.
     """
     red, w_hat = validate_instance(instance)
@@ -347,7 +330,7 @@ def verify_splitting(
 
     conv = instance.convention
     view_hom = conv == HOMOLOGY
-    verdict = SplittingVerdict(
+    return SplittingVerdict(
         lef_w=-lef_w_coh if view_hom else lef_w_coh,
         lef_w_hat=-lef_hat_coh if view_hom else lef_hat_coh,
         lambda_fo=lam,
@@ -360,13 +343,9 @@ def verify_splitting(
         hf_dims=relabel(instance.space, conv).dims,
         case=instance.pair.case,
         w_label=instance.w_label,
+        refinement=_refinement(instance, red, w_hat),
         trace_log=trace_towers(instance) if with_trace else None,
     )
-    if raise_on_failure and not verdict.passed:
-        raise TheoremCounterexample(
-            f"splitting identities failed on a validated instance: {verdict}"
-        )
-    return verdict
 
 
 @dataclass(frozen=True)
@@ -389,9 +368,13 @@ class RefinementReport:
         return all(d == e for d, e in zip(self.diffs, self.expected))
 
 
-def trace_refinement(instance: Instance) -> RefinementReport:
-    red = reduced(instance.space, instance.pair)
-    w_hat = reduced_induced(instance.w, red)
+def _refinement(instance: Instance, red: ReducedResult, w_hat: GradedMap) -> RefinementReport:
     diffs = tuple(trace(instance.w.block(q)) - trace(w_hat.block(q)) for q in range(8))
     expected = tuple(instance.space.dim(q) - red.hf_red.dim(q) for q in range(8))
     return RefinementReport(diffs, expected)
+
+
+def trace_refinement(instance: Instance) -> RefinementReport:
+    """The degreewise refinement alone, without the rest of the verdict."""
+    red = reduced(instance.space, instance.pair)
+    return _refinement(instance, red, reduced_induced(instance.w, red))

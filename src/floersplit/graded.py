@@ -74,24 +74,8 @@ class GradedMap:
     def identity(space: GradedSpace) -> "GradedMap":
         return GradedMap(space, space, 0, tuple(Matrix.identity(d) for d in space.dims))
 
-    @staticmethod
-    def zero(source: GradedSpace, target: GradedSpace, shift: int = 0) -> "GradedMap":
-        shift = _mod8(shift)
-        return GradedMap(
-            source, target, shift,
-            tuple(Matrix.zeros(target.dim(q + shift), source.dim(q)) for q in DEGREES),
-        )
-
     def block(self, q: int) -> Matrix:
         return self.blocks[_mod8(q)]
-
-    def compose(self, other: "GradedMap") -> "GradedMap":
-        """self o other (apply ``other`` first)."""
-        if other.target != self.source:
-            raise ValidationError("compose: target/source mismatch")
-        shift = _mod8(self.shift + other.shift)
-        blocks = tuple(self.block(q + other.shift) @ other.block(q) for q in DEGREES)
-        return GradedMap(other.source, self.target, shift, blocks)
 
     @property
     def is_zero(self) -> bool:

@@ -275,9 +275,6 @@ class Subspace:
                 out.append(i)
         return tuple(out)
 
-    def contains(self, other: "Subspace") -> bool:
-        return _pivot_coordinates(self, other.basis) is not None
-
     def coordinates_of(self, vectors: Matrix) -> Matrix:
         """Coordinates of the given column vectors in this basis."""
         x = _pivot_coordinates(self, vectors)

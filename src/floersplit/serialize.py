@@ -244,11 +244,11 @@ def load(path: str) -> Instance:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
     except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+        raise ParseError(f"{shown(path)}: invalid JSON at line {e.lineno}: {e.msg}") from e
     except ValueError as e:  # an integer past the interpreter's digit limit, or not UTF-8
-        raise ParseError(f"{path}: invalid JSON: {e}") from e
+        raise ParseError(f"{shown(path)}: invalid JSON: {e}") from e
     except RecursionError:
-        raise ParseError(f"{path}: invalid JSON: nested too deeply") from None
+        raise ParseError(f"{shown(path)}: invalid JSON: nested too deeply") from None
     return document_to_instance(doc)
 
 

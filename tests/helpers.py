@@ -184,7 +184,24 @@ def graded_space(*dims):
 
 
 def zero_map(space, shift=0):
-    return GradedMap.zero(space, space, shift)
+    """The zero endomap of ``space`` raising degree by ``shift``."""
+    return GradedMap(
+        space, space, shift,
+        tuple(Matrix.zeros(space.dim(q + shift), space.dim(q)) for q in range(8)),
+    )
+
+
+def compose(g: GradedMap, f: GradedMap) -> GradedMap:
+    """g o f (apply ``f`` first), block by block."""
+    assert f.target == g.source
+    blocks = tuple(g.block(q + f.shift) @ f.block(q) for q in range(8))
+    return GradedMap(f.source, g.target, g.shift + f.shift, blocks)
+
+
+def contains(s: Subspace, other: Subspace) -> bool:
+    """Whether ``other`` lies in ``s``: adding its basis to s's leaves the
+    span's dimension unchanged."""
+    return Subspace.span(s.ambient_dim, s.basis.hstack(other.basis)).dim == s.dim
 
 
 def blocks_map(space, shift, block_dict):

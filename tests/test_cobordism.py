@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
 
 from floersplit import catalog
+from floersplit.cli import main
 from floersplit.cobordism import (
     reduced_induced,
     trace_refinement,
@@ -20,17 +22,16 @@ from floersplit.errors import (
     NoSolution,
     RelationViolation,
     StepMismatch,
-    TheoremCounterexample,
 )
-from floersplit.froyshov import Case, SpecialPair, derive_case, reduced
+from floersplit.froyshov import Case, SpecialPair, derive_case, reduced, tower_members
 from floersplit.gen import GenConfig, gen_instance
 from floersplit.graded import GradedMap, GradedSpace, lefschetz
 from floersplit.instance import COHOMOLOGY, HOMOLOGY, Instance
-from floersplit.qlinalg import Matrix
+from floersplit.qlinalg import Matrix, Subspace
 
-from helpers import blocks_map, graded_space, mat, perturb_w
+from helpers import blocks_map, contains, graded_space, mat, perturb_w, reference_tower
 
-from test_froyshov import _pair, _sigma_like_pair, _sigma_like_space
+from test_froyshov import _kinds, _pair, _random_pair, _sigma_like_pair, _sigma_like_space
 
 
 def _instance(space, pair, w, convention=COHOMOLOGY):
@@ -258,13 +259,28 @@ def test_verify_splitting_computes_each_lefschetz_number_once(monkeypatch):
         assert len(maps) == 2 and maps[0] == inst.w, name
 
 
-def test_theorem_counterexample_guard(monkeypatch):
+def test_theorem_counterexample_guard(monkeypatch, tmp_path, capsys):
+    """A sweep reports a failing identity on a validated instance as an
+    identity failure and exits 1."""
     import floersplit.cobordism as cob
 
     monkeypatch.setattr(cob, "froyshov_h", lambda *a, **k: Fraction(999))
-    inst = catalog.load_entry("sigma_2_7_13_mapping_torus")
-    with pytest.raises(TheoremCounterexample):
-        verify_splitting(inst, raise_on_failure=True)
+    monkeypatch.chdir(tmp_path)  # the failing instance is dumped here
+    assert main(["--format", "json", "sweep", "--seeds", "1..1"]) == 1
+    (failure,) = json.loads(capsys.readouterr().out)["failures"]
+    assert failure["kind"] == "identity"
+    assert failure["error"].startswith("splitting identities failed on a validated instance")
+
+
+@pytest.mark.parametrize(
+    "config", [{}, {"periodic": True}, {"chain_level": True}], ids=["default", "periodic", "chain"]
+)
+def test_verdict_carries_the_refinement(config):
+    for seed in range(1, 6):
+        inst = gen_instance(GenConfig(seed=seed, **config))
+        verdict = verify_splitting(inst)
+        assert verdict.refinement == trace_refinement(inst)
+        assert verdict.refinement.ok
 
 
 # -- tracers ---------------------------------------------------------------------
@@ -321,6 +337,39 @@ def test_trace_towers_refuses_a_degree_without_a_tower():
             trace_towers(inst, q)
     for q in (0, 1, 4, 5):
         assert [t.degree for t in trace_towers(inst, q).towers] == [q]
+
+
+def _independent_activity(dim, q, members):
+    """Each step's activity decided apart from the walk, on the stages of
+    ``reference_tower``: a functional nonzero on the previous stage, or a
+    vector outside it."""
+    prev = Subspace.full(dim) if q in (0, 4) else Subspace.zero(dim)
+    out = []
+    for (_, m), stage in zip(members, reference_tower(dim, q, members)):
+        if q in (0, 4):
+            out.append(not (m @ prev.basis).is_zero)
+        else:
+            out.append(not contains(prev, Subspace.span(dim, m)))
+        prev = stage
+    return out
+
+
+def test_step_activity_equals_an_independent_test():
+    # the identity satisfies every relation, so any pair can be replayed
+    instances = [catalog.load_entry(name) for name in catalog.names()]
+    for seed in range(300):
+        space, pair = _random_pair(seed, _kinds())
+        instances.append(_instance(space, pair, GradedMap.identity(space)))
+    seen = set()
+    for i, inst in enumerate(instances):
+        case = inst.pair.case
+        degrees = (0, 4) * (case is not Case.DELTA_PRIME_SIDE) + (1, 5) * (case is not Case.DELTA_SIDE)
+        for q in degrees:
+            (log,) = trace_towers(inst, q).towers
+            want = _independent_activity(inst.space.dim(q), q, tower_members(inst.pair, q))
+            assert [s.active for s in log.steps] == want, (i, q)
+            seen.update((log.kind, a) for a in want)
+    assert seen == {(k, a) for k in ("kernel", "span") for a in (True, False)}
 
 
 def test_step_mismatch_on_invalid_instance():

@@ -33,6 +33,7 @@ from floersplit.serialize import MAX_DIM, document_to_instance, dumps
 
 from helpers import (
     coefficients,
+    contains,
     dense_matmul,
     oracle_cohomology_dims,
     oracle_family_on_cocycles,
@@ -140,7 +141,7 @@ def test_soundness_over_seed_range():
 def test_empty_instance():
     inst = gen_instance(GenConfig(seed=3, max_dim=0))
     assert inst.space == GradedSpace.zero()
-    v = verify_splitting(inst, with_trace=True, raise_on_failure=True)
+    v = verify_splitting(inst, with_trace=True)
     assert v.passed and v.h_y == 0
 
 
@@ -201,7 +202,7 @@ def test_periodic_instances_mirror():
             assert inst.w.block(q) == inst.w.block(q + 4)
         red = reduced(inst.space, inst.pair)
         assert red.hf_red.dims[:4] == red.hf_red.dims[4:]
-        verify_splitting(inst, raise_on_failure=True)
+        assert verify_splitting(inst).passed
 
 
 # -- chain level -------------------------------------------------------------
@@ -216,7 +217,7 @@ def test_chain_periodic_instances_mirror():
             assert inst.w.block(q) == inst.w.block(q + 4)
         red = reduced(inst.space, inst.pair)
         assert red.hf_red.dims[:4] == red.hf_red.dims[4:]
-        verify_splitting(inst, raise_on_failure=True)
+        assert verify_splitting(inst).passed
 
 
 def test_chain_planted_dims_and_oracle():
@@ -243,7 +244,7 @@ def test_chain_induced_family_matches_oracle():
             lift = coh.rep_section[pdeg] @ inst.pair.deltas_prime[n]
             diff = lift - vec
             if not diff.is_zero:
-                assert coh.coboundaries[pdeg].contains(Subspace.span(diff.rows, diff))
+                assert contains(coh.coboundaries[pdeg], Subspace.span(diff.rows, diff))
 
 
 def test_chain_zero_boundary_degenerates():
@@ -258,7 +259,7 @@ def test_chain_soundness():
     for seed in range(1, 21):
         inst = gen_chain_instance(GenConfig(seed=seed, chain_level=True))
         assert validate_relations(inst.w, inst.pair).ok
-        verify_splitting(inst, raise_on_failure=True)
+        assert verify_splitting(inst).passed
 
 
 # -- product and redraw ---------------------------------------------------------
@@ -281,7 +282,8 @@ def test_product_cobordism_on_empty():
 def test_product_cobordism_lambda_is_half_euler():
     for seed in range(1, 21):
         inst = product_cobordism(gen_instance(GenConfig(seed=seed)))
-        v = verify_splitting(inst, raise_on_failure=True)
+        v = verify_splitting(inst)
+        assert v.passed
         # cohomology-view report: Lef(id) equals the Euler characteristic
         assert v.lef_w == euler(inst.space)
         assert v.lambda_fo == -Fraction(euler(inst.space), 2)
@@ -294,7 +296,8 @@ def test_redraw_cobordism_keeps_invariants():
         for wseed in range(3):
             other = redraw_cobordism(inst, wseed)
             assert other.pair == inst.pair and other.space == inst.space
-            v = verify_splitting(other, raise_on_failure=True)
+            v = verify_splitting(other)
+            assert v.passed
             assert v.h_x == base == v.h_y
 
 
@@ -305,7 +308,7 @@ def test_redraw_on_chain_instance_serializes():
     other = redraw_cobordism(inst, 7)
     assert other.level == "cohomology-level" and other.complex is None
     assert document_to_instance(instance_to_document(other)) == other
-    verify_splitting(other, raise_on_failure=True)
+    assert verify_splitting(other).passed
 
 
 # -- change of basis ------------------------------------------------------------

@@ -23,11 +23,14 @@ from floersplit.qlinalg import Matrix
 
 from helpers import (
     blocks_map,
+    compose,
+    contains,
     graded_space,
     mat,
     random_chain_selfmap,
     random_split_complex,
     two_term_complex,
+    zero_map,
 )
 
 dims_strategy = st.lists(st.integers(0, 3), min_size=8, max_size=8).map(GradedSpace.of)
@@ -38,7 +41,7 @@ dims_strategy = st.lists(st.integers(0, 3), min_size=8, max_size=8).map(GradedSp
 
 def test_zero_differential_cohomology_is_the_space():
     space = graded_space(1, 1, 1, 1, 1, 1, 1, 1)
-    cx = CochainComplex(space, GradedMap.zero(space, space, 1))
+    cx = CochainComplex(space, zero_map(space, 1))
     assert cohomology(cx).h_space == space
 
 
@@ -63,7 +66,7 @@ def test_d_squared_enforced():
 def test_wrong_shift_rejected():
     space = graded_space(1, 1, 1, 1, 1, 1, 1, 1)
     with pytest.raises(ValidationError):
-        CochainComplex(space, GradedMap.zero(space, space, 2))
+        CochainComplex(space, zero_map(space, 2))
 
 
 def test_cohomology_result_invariants():
@@ -73,7 +76,7 @@ def test_cohomology_result_invariants():
         coh = cohomology(cx)
         assert coh.h_space.dims == tuple(h)
         for q in range(8):
-            assert coh.cocycles[q].contains(coh.coboundaries[q])
+            assert contains(coh.cocycles[q], coh.coboundaries[q])
             assert coh.h_space.dim(q) == coh.cocycles[q].dim - coh.coboundaries[q].dim
             lhs = coh.class_projection[q] @ coh.rep_section[q]
             assert lhs == Matrix.identity(coh.h_space.dim(q))
@@ -94,7 +97,7 @@ def test_induced_identity():
 def test_induced_zero():
     cx = two_term_complex()
     coh = cohomology(cx)
-    ind = induced_map(GradedMap.zero(cx.space, cx.space), coh, coh)
+    ind = induced_map(zero_map(cx.space), coh, coh)
     assert ind.is_zero
 
 
@@ -148,8 +151,8 @@ def test_functoriality():
         coh = cohomology(cx)
         f = random_chain_selfmap(rng, cx, a, h)
         g = random_chain_selfmap(rng, cx, a, h)
-        lhs = induced_map(g.compose(f), coh, coh)
-        rhs = induced_map(g, coh, coh).compose(induced_map(f, coh, coh))
+        lhs = induced_map(compose(g, f), coh, coh)
+        rhs = compose(induced_map(g, coh, coh), induced_map(f, coh, coh))
         assert lhs == rhs
 
 
@@ -221,7 +224,7 @@ def test_regrade_map_involution_random():
 
 def test_regrade_carries_shift():
     space = graded_space(1, 1, 1, 1, 1, 1, 1, 1)
-    d = GradedMap.zero(space, space, 1)
+    d = zero_map(space, 1)
     assert regrade(d).shift == 7
-    v = GradedMap.zero(space, space, 4)
+    v = zero_map(space, 4)
     assert regrade(v).shift == 4

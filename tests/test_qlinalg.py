@@ -26,6 +26,7 @@ from floersplit.qlinalg import (
 
 from helpers import (
     above_2_100,
+    contains,
     dense_kernel_basis,
     dense_matmul,
     dense_rref,
@@ -487,10 +488,10 @@ def test_quotient_by_zero_equals_the_dense_product(maps):
 @given(vector_sequences(max_dim=5, max_count=5), st.data())
 def test_solve_and_subspace_reads_equal_dense_solve(seq, data):
     """``solve``, and the pivot-row reads behind ``coordinates_of``,
-    ``contains``, ``restrict`` and the quotient's invariance check, agree
-    with ``dense_solve``: on mostly-zero data with entries above 2^100, on
-    inconsistent systems, on maps that leave the subspace not invariant,
-    and in dimension 0."""
+    ``restrict`` and the quotient's invariance check, agree with
+    ``dense_solve`` (as does the test helper ``contains``): on mostly-zero
+    data with entries above 2^100, on inconsistent systems, on maps that
+    leave the subspace not invariant, and in dimension 0."""
     dim, gens = seq
     a = Matrix.from_rows([list(v) for v in gens], cols=dim).transpose()
     k = data.draw(st.integers(0, 3))
@@ -506,7 +507,7 @@ def test_solve_and_subspace_reads_equal_dense_solve(seq, data):
             s.coordinates_of(b)
     else:
         assert s.coordinates_of(b) == want
-    assert s.contains(Subspace.span(dim, b)) == (want is not None)
+    assert contains(s, Subspace.span(dim, b)) == (want is not None)
 
     q = quotient(dim, s)
     f = data.draw(sparse_block(dim, dim))

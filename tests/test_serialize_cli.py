@@ -40,6 +40,7 @@ from floersplit.serialize import (
     load,
     rational_from_json,
     rational_to_json,
+    shown,
 )
 
 
@@ -163,7 +164,19 @@ def test_deeply_nested_document_is_a_parse_error(where, tmp_path, capsys):
     assert main(["verify", str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == [f"error: {path}: invalid JSON: nested too deeply"]
+    assert captured.err.splitlines() == [f"error: {shown(str(path))}: invalid JSON: nested too deeply"]
+
+
+def test_parse_error_names_a_long_path_by_its_type(tmp_path, capsys):
+    where = tmp_path.joinpath(*["d" * 200] * 18)  # a path of about 3,600 characters
+    where.mkdir(parents=True)
+    path = where / "truncated.json"
+    path.write_text(dumps(catalog.load_entry("akbulut_cork_mapping_torus"))[:40])
+    assert main(["verify", str(path)]) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and len(lines[0].encode()) < 300
+    assert lines[0].startswith("error: str: invalid JSON at line ")
 
 
 def test_parse_error_on_bad_shape():
@@ -675,6 +688,27 @@ def test_cli_bad_int_flag_is_one_line_exit_2(command, flag, value, rendered, cap
     ]
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["catalog", LONG], "floersplit catalog: error: argument action: invalid choice: str"),
+        ([LONG], "floersplit: error: argument command: invalid choice: str"),
+        (["--format", LONG, "verify", "x"], "floersplit: error: argument --format: invalid choice: str"),
+        (["verify", "catalog:sigma", LONG], "floersplit: error: unrecognized arguments: str"),
+        (["verify", "catalog:sigma", "a", LONG], "floersplit: error: unrecognized arguments: 'a' and 1 more"),
+    ],
+    ids=["catalog-action", "command", "format", "unrecognized", "unrecognized-two"],
+)
+def test_cli_bad_choice_or_extra_argument_is_one_short_line(argv, line, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (err,) = captured.err.splitlines()
+    assert err.startswith(line) and len(err.encode()) < 300
+
+
 @pytest.mark.parametrize("family", ["deltas", "deltas_prime"])
 def test_cli_verify_non_list_family_is_parse_error(family, tmp_path, capsys):
     doc = copy.deepcopy(catalog.get("sigma_2_7_13_mapping_torus").document)
@@ -981,6 +1015,30 @@ def test_cli_sweep_failure_dump(tmp_path, capsys, monkeypatch):
     assert dump.exists()
     replay = document_to_instance(json.loads(dump.read_text()))
     assert replay.metadata["seed"] == 2
+
+
+def test_cli_sweep_analyses_each_seed_once(monkeypatch, tmp_path, capsys):
+    import floersplit.cobordism as cob
+    import floersplit.froyshov as froyshov
+
+    calls = {"reduced": 0, "reduced_induced": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        wrapper = counting(name, getattr(cob, name))
+        for module in (froyshov, cob):  # wherever the name is bound
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.chdir(tmp_path)  # where a failing seed would be dumped
+    assert main(["sweep", "--seeds", "1..5"]) == 0
+    assert "5/5 passed" in capsys.readouterr().out
+    assert calls == {"reduced": 5, "reduced_induced": 5}
 
 
 def test_cli_sweep_jobs_clamped_to_cores(monkeypatch, capsys):
