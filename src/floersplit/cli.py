@@ -348,6 +348,13 @@ def _int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}") from None
 
 
+def _jobs_arg(text: str) -> int:
+    jobs = _int_arg(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {shown(text)}")
+    return jobs
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with each command-line error as one stderr line, without
     the usage text, naming a bad value by ``shown``; the exit code stays
@@ -405,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case-mix", default="2,2,1")
     p.add_argument("--periodic", action="store_true")
     p.add_argument("--chain-level", action="store_true")
-    p.add_argument("--jobs", type=_int_arg, default=1)
+    p.add_argument("--jobs", type=_jobs_arg, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("catalog", help="list, show or export the built-in fixtures")

@@ -32,7 +32,7 @@ from typing import Callable
 
 from .errors import DichotomyViolation, NotAChainMap, ValidationError
 from .graded import CochainComplex, CohomologyResult, GradedMap, GradedSpace, euler, induced_map
-from .qlinalg import Matrix, QuotientSpace, RunningSpan, Subspace, kernel_basis, quotient
+from .qlinalg import Matrix, QuotientSpace, RunningSpan, Subspace, quotient
 
 
 # The largest n_max a document may declare or a generator config may
@@ -239,9 +239,9 @@ def tower(dim: int, q: int, members):
     the member's kernel; at 1 and 5 it starts from zero and each stage
     adds the member's span.  The members so far grow one running echelon
     form, and a stage is recomputed only when a member grows it: the
-    common kernel of its rows, or their canonical span.  The last stages
-    are Z^q and B^q, which ``z_subspaces`` and ``b_subspaces`` compute
-    without the walk.
+    span's kernel or its subspace, read off its rows without eliminating
+    the members again.  The last stages are Z^q and B^q, which
+    ``z_subspaces`` and ``b_subspaces`` compute without the walk.
     """
     kernel = q in (0, 4)
     stage = Subspace.full(dim) if kernel else Subspace.zero(dim)
@@ -249,21 +249,23 @@ def tower(dim: int, q: int, members):
     for n, m in members:
         nxt = stage
         if span.add(n, m.entries[0] if kernel else m.col(0)):
-            nxt = kernel_basis(span.rows) if kernel else span.subspace()
+            nxt = span.kernel() if kernel else span.subspace()
         yield n, m, stage, nxt
         stage = nxt
 
 
 def _tower_ends(h: GradedSpace, sp: SpecialPair, degrees, start) -> tuple[Subspace, ...]:
-    """One elimination per degree of all its members, each read as a row;
-    canonical bases make each end equal the last stage of ``tower``."""
+    """One running span per degree of all its members, read as its kernel
+    at 0 and 4 and its subspace at 1 and 5; canonical bases make each end
+    equal the last stage of ``tower``."""
     sp.validate_against(h)
     ends = [start(h.dim(q)) for q in range(8)]
     for q in degrees:
         if members := tower_members(sp, q):
-            dim = h.dim(q)
-            rows = Matrix(len(members), dim, tuple(tuple(x for r in m.entries for x in r) for _, m in members))
-            ends[q] = kernel_basis(rows) if q in (0, 4) else Subspace.span(dim, rows.transpose())
+            span = RunningSpan(h.dim(q))
+            for n, m in members:
+                span.add(n, tuple(x for r in m.entries for x in r))
+            ends[q] = span.kernel() if q in (0, 4) else span.subspace()
     return tuple(ends)
 
 
@@ -297,14 +299,11 @@ def reduced(h: GradedSpace, sp: SpecialPair) -> ReducedResult:
     """The reduced theory Z/B determined by a special pair.
 
     B^q lies in Z^q by the degrees alone: Z^q is the whole space wherever
-    B^q is nonzero (degrees 1 and 5), and B^q is zero wherever Z^q is cut
-    down (degrees 0 and 4), so B^q always has coordinates in Z^q.
+    B^q is nonzero (degrees 1 and 5), so there B^q is its own coordinates
+    in Z^q, and B^q is zero wherever Z^q is cut down (degrees 0 and 4).
     """
     z, b = z_subspaces(h, sp), b_subspaces(h, sp)
-    quots = tuple(
-        quotient(z[q].dim, Subspace.span(z[q].dim, z[q].coordinates_of(b[q].basis)))
-        for q in range(8)
-    )
+    quots = tuple(quotient(z[q].dim, b[q] if b[q].dim else Subspace.zero(z[q].dim)) for q in range(8))
     return ReducedResult(z, b, GradedSpace(tuple(qs.dim for qs in quots)), quots)
 
 

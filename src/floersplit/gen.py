@@ -45,7 +45,7 @@ from .froyshov import (
 )
 from .graded import CochainComplex, GradedMap, GradedSpace
 from .instance import COHOMOLOGY, Instance, LEVEL_COHOMOLOGY, chain_instance
-from .qlinalg import Matrix, RunningSpan, kernel_basis, solve
+from .qlinalg import Matrix, RunningSpan, solve
 
 _CASES = (Case.DELTA_SIDE, Case.DELTA_PRIME_SIDE, Case.BOTH_ZERO)
 
@@ -141,7 +141,7 @@ def _solve_member_block(rng, dim, members, planted):
             d_mat = d_mat.vstack(row)
             r_mat = r_mat.vstack(rhs)
     part = solve(d_mat, r_mat)  # never None: the included rows are independent
-    ker = kernel_basis(d_mat)
+    ker = span.kernel()
     if ker.dim:
         part = part + ker.basis @ _rand_matrix(rng, ker.dim, dim)
     return part
@@ -313,9 +313,10 @@ def _split_chain_map(rng, a, h, cf, shift, hh_blocks):
     The image part is forced to follow the acyclic part one degree down
     and three sub-blocks vanish; everything else is free.  The harmonic
     diagonal is prescribed where a cohomology-level block was solved.
+    Returns the blocks and the harmonic diagonal blocks they hold.
     """
     aa = {q: _rand_matrix(rng, a[(q + shift) % 8], a[q]) for q in range(8)}
-    blocks = []
+    blocks, harmonic = [], []
     for q in range(8):
         t = (q + shift) % 8
         bq, bt = a[(q - 1) % 8], a[(t - 1) % 8]
@@ -337,13 +338,8 @@ def _split_chain_map(rng, a, h, cf, shift, hh_blocks):
         put(_rand_matrix(rng, bt, h[q]), a[t], a[q] + bq)
         put(hh, a[t] + bt, a[q] + bq)
         blocks.append(Matrix(rows, cols, tuple(tuple(r) for r in m)))
-    return blocks
-
-
-def _block_of(m: Matrix, a, h, cf, q, shift):
-    """Harmonic-to-harmonic sub-block of a split-basis chain map block."""
-    t = (q + shift) % 8
-    return m.submatrix(range(cf[t] - h[t], cf[t]), range(cf[q] - h[q], cf[q]))
+        harmonic.append(hh)
+    return blocks, harmonic
 
 
 def gen_chain_instance(cfg: GenConfig) -> Instance:
@@ -371,8 +367,7 @@ def gen_chain_instance(cfg: GenConfig) -> Instance:
     # degree +4 operator; an identity harmonic diagonal in periodic mode
     # links the towers so the reduced theory mirrors too
     v_hh = {q: Matrix.identity(h[q]) for q in range(8)} if cfg.periodic else {}
-    v_blocks = _split_chain_map(rng, a, h, cf, 4, v_hh)
-    vhh = [_block_of(v_blocks[q], a, h, cf, q, 4) for q in range(8)]
+    v_blocks, vhh = _split_chain_map(rng, a, h, cf, 4, v_hh)
 
     # special data: one family's class seed is zeroed, fixing the dichotomy
     delta_chain = [rng.randint(-ENTRY_BOUND, ENTRY_BOUND) for _ in range(cf[4])]
@@ -394,7 +389,7 @@ def gen_chain_instance(cfg: GenConfig) -> Instance:
     p0 = Matrix.column([prime_chain[cf[1] - h[1] + i] for i in range(h[1])])
     pair = krylov_families(d0, p0, vhh, h, cfg.n_max)
     w_hh, planted_a, planted_b = _w_blocks(rng, GradedSpace.of(h), pair, cfg.periodic)
-    w_blocks = _split_chain_map(rng, a, h, cf, 0, dict(enumerate(w_hh)))
+    w_blocks, _ = _split_chain_map(rng, a, h, cf, 0, dict(enumerate(w_hh)))
 
     # conjugate everything by one unimodular change of basis per degree
     words = [_unimodular(rng, cf[q]) for q in range(4 if cfg.periodic else 8)]

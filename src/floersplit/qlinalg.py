@@ -302,18 +302,10 @@ def _row_span(vectors: Matrix) -> Subspace:
 
 def kernel_basis(m: Matrix) -> Subspace:
     """Canonical basis of {v : m v = 0}; dimension is cols - rank."""
-    ech, pivots, _ = rref(m)
-    free = [j for j in range(m.cols) if j not in pivots]
-    if not free:
-        return Subspace.zero(m.cols)
-    rows = []
-    for f in free:
-        v = [Q(0)] * m.cols
-        v[f] = Q(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -ech.entries[r][f]
-        rows.append(tuple(v))
-    return _row_span(Matrix(len(free), m.cols, tuple(rows)))
+    span = RunningSpan(m.cols)
+    for i, r in enumerate(m.entries):
+        span.add(i, r)
+    return span.kernel()
 
 
 class RunningSpan:
@@ -393,6 +385,19 @@ class RunningSpan:
     def subspace(self) -> "Subspace":
         """The canonical subspace spanned so far."""
         return Subspace(self.dim, self.rows.transpose())
+
+    def kernel(self) -> "Subspace":
+        """The canonical common kernel of the rows, spanned by one vector per
+        free column f: 1 at f and minus each row's entry at f at its pivot."""
+        vectors = []
+        for f in (j for j in range(self.dim) if j not in self._rows):
+            v = [Q(0)] * self.dim
+            v[f] = Q(1)
+            for p, (row, _) in self._rows.items():
+                if x := row.get(f):
+                    v[p] = -x
+            vectors.append(tuple(v))
+        return _row_span(Matrix(len(vectors), self.dim, tuple(vectors)))
 
 
 def _combine(used) -> dict:

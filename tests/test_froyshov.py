@@ -25,7 +25,7 @@ from floersplit.froyshov import (
     z_subspaces,
 )
 from floersplit.graded import CochainComplex, GradedMap, cohomology
-from floersplit.qlinalg import Matrix, Subspace
+from floersplit.qlinalg import Matrix, Subspace, quotient
 
 from helpers import (
     chain_special_for,
@@ -367,7 +367,8 @@ def test_untouched_degrees():
 def test_reduced_cuts_z_and_b_only_where_the_families_act():
     """Z^q is the whole space off degrees 0 and 4 and B^q is zero off 1 and
     5, so B^q lies in Z^q in every degree: where B^q is nonzero, Z^q is
-    whole.  The reduced dimension is then dim Z^q - dim B^q."""
+    whole.  The reduced dimension is then dim Z^q - dim B^q, and each
+    quotient equals the one built from B^q's coordinates in Z^q."""
     kinds = _kinds()
     cases = set()
     for seed in range(300):
@@ -382,6 +383,8 @@ def test_reduced_cuts_z_and_b_only_where_the_families_act():
                 assert b == Subspace.zero(space.dim(q)), (seed, q)
             assert contains(z, b), (seed, q)
             assert red.hf_red.dim(q) == z.dim - b.dim, (seed, q)
+            oracle = quotient(z.dim, Subspace.span(z.dim, z.coordinates_of(b.basis)))
+            assert red.quotients[q] == oracle, (seed, q)
     assert cases == set(Case) and min(kinds.values()) > 50
 
 

@@ -248,7 +248,8 @@ def _stacked_rows(dim, vectors):
 def test_running_span_equals_stacked_elimination(seq, data):
     """Each step against the added vectors stacked: ``coordinates`` equals
     ``dense_solve`` on them as columns (None included), ``add`` is True exactly
-    when the rank grows, and the rows are the reference RREF's nonzero rows."""
+    when the rank grows, the rows are the reference RREF's nonzero rows, and
+    ``kernel`` is the reference kernel of the stack."""
     dim, vectors = seq
     span = RunningSpan(dim)
     for n, v in enumerate(vectors + [None]):
@@ -272,6 +273,9 @@ def test_running_span_equals_stacked_elimination(seq, data):
         assert span.rows == Matrix(ref.rank, dim, ref.echelon.entries[: ref.rank])
         assert all(type(e) is Fraction for r in span.rows.entries for e in r)
         assert span.subspace() == Subspace.span(dim, _stacked_rows(dim, vectors[: n + 1]).transpose())
+        kernel = span.kernel()
+        assert kernel == dense_kernel_basis(_stacked_rows(dim, vectors[: n + 1]))
+        assert all(type(e) is Fraction for r in kernel.basis.entries for e in r)
 
 
 def test_running_span_small_cases():

@@ -689,6 +689,22 @@ def test_cli_bad_int_flag_is_one_line_exit_2(command, flag, value, rendered, cap
 
 
 @pytest.mark.parametrize(
+    "value, rendered", [("0", "'0'"), ("-3", "'-3'"), ("-" + "9" * 100, "str")], ids=["zero", "negative", "long"]
+)
+def test_cli_jobs_below_1_is_one_line_exit_2(value, rendered, capsys):
+    """A worker count below 1 is refused before any seed runs, not run
+    serially."""
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--seeds", "1..2", "--jobs", value])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"floersplit sweep: error: argument --jobs: must be at least 1: {rendered}"
+    ]
+
+
+@pytest.mark.parametrize(
     "argv, line",
     [
         (["catalog", LONG], "floersplit catalog: error: argument action: invalid choice: str"),
