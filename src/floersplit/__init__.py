@@ -50,7 +50,7 @@ from .cobordism import (
     trace_refinement,
 )
 from .instance import Instance, HOMOLOGY, COHOMOLOGY, LEVEL_CHAIN, LEVEL_COHOMOLOGY
-from .gen import GenConfig, gen_instance, gen_chain_instance, product_cobordism, redraw_cobordism
+from .gen import GenConfig, gen_instance, gen_chain_instance
 from .serialize import load, export, dumps, document_to_instance, instance_to_document
 from . import catalog, errors
 

@@ -47,7 +47,7 @@ class TheoremCounterexample(EngineError):
 
 
 class Infeasible(EngineError):
-    """The generator's constraint system was unsolvable for a seed."""
+    """A chain-level instance did not reproduce its planted cohomology."""
 
 
 class ParseError(EngineError):

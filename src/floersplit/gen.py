@@ -10,8 +10,11 @@ A family member lying in the span of the lower same-parity members has
 its relation satisfied automatically once the lower ones hold, so only
 the independent members contribute equations and planted coefficients;
 the included rows are then linearly independent and the solve cannot
-fail.  Every emitted instance is still run through the relation
-validator, and a failure is reported as ``Infeasible`` with the seed.
+fail.  The generator does not re-check the relations it planted: its
+consumers validate every instance they verify (``verify_splitting``), so
+a generator defect surfaces there as a relation error on an instance
+that can be dumped and replayed, and the tests check the construction,
+also with every dimension draw at its upper end.
 
 Chain-level complexes are drawn in split form: each degree decomposes
 into an acyclic part mapped isomorphically one degree up and a harmonic
@@ -31,7 +34,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cobordism import validate_relations
 from .errors import Infeasible, ValidationError
 from .froyshov import (
     FAMILIES,
@@ -68,6 +70,10 @@ class GenConfig:
     chain_level: bool = False
 
     def __post_init__(self):
+        for name in ("seed", "max_dim", "n_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(f"{name} must be an int, not {type(value).__name__}")
         if self.max_dim < 0:
             raise ValidationError("max_dim must be nonnegative")
         if self.max_dim > MAX_GEN_DIM:
@@ -218,8 +224,9 @@ def _planted_metadata(planted_a, planted_b):
 def gen_instance(cfg: GenConfig) -> Instance:
     """Deterministic-in-seed cohomology-level instance.
 
-    The emitted instance always passes the relation validator and the
-    dichotomy, and identical configs give identical instances.
+    The relations and the dichotomy hold by construction, and identical
+    configs give identical instances; consumers and tests check the
+    relations, so no check runs here.
     """
     if cfg.chain_level:
         return gen_chain_instance(cfg)
@@ -237,7 +244,7 @@ def gen_instance(cfg: GenConfig) -> Instance:
     blocks, planted_a, planted_b = _w_blocks(rng, space, sp, cfg.periodic)
     w = GradedMap(space, space, 0, tuple(blocks))
 
-    inst = Instance(
+    return Instance(
         space=space,
         pair=sp,
         w=w,
@@ -252,10 +259,6 @@ def gen_instance(cfg: GenConfig) -> Instance:
             **_planted_metadata(planted_a, planted_b),
         },
     )
-    report = validate_relations(w, sp)
-    if not report.ok:
-        raise Infeasible(f"generated instance failed validation (seed {cfg.seed})")
-    return inst
 
 
 # -- chain level -----------------------------------------------------
@@ -410,8 +413,6 @@ def gen_chain_instance(cfg: GenConfig) -> Instance:
     )
     if inst.space.dims != tuple(h):
         raise Infeasible(f"planted cohomology dims not reproduced (seed {cfg.seed})")
-    if not validate_relations(inst.w, inst.pair).ok:
-        raise Infeasible(f"generated chain instance failed validation (seed {cfg.seed})")
     return dataclasses.replace(inst, metadata={
         "name": f"genchain-{cfg.seed}",
         "seed": cfg.seed,
@@ -420,30 +421,3 @@ def gen_chain_instance(cfg: GenConfig) -> Instance:
         "planted_h_dims": list(h),
         **_planted_metadata(planted_a, planted_b),
     })
-
-
-def product_cobordism(instance: Instance) -> Instance:
-    """Same spaces and special pair, cobordism map replaced by identity."""
-    chain_ident = GradedMap.identity(instance.complex.space) if instance.complex else None
-    return instance.with_w(GradedMap.identity(instance.space), "product", chain_ident)
-
-
-def redraw_cobordism(instance: Instance, seed: int) -> Instance:
-    """Fresh valid cobordism map for the same space and special pair.
-
-    Used to exercise independence of the reported invariants from the
-    choice of map; new correction coefficients are planted and a new
-    solution of the relation system is drawn.
-    """
-    sp, space = instance.pair, instance.space
-    blocks, _, _ = _w_blocks(random.Random(seed), space, sp, periodic=False)
-    w = GradedMap(space, space, 0, tuple(blocks))
-    if not validate_relations(w, sp).ok:
-        raise Infeasible(f"redrawn cobordism failed validation (seed {seed})")
-    # the fresh map has no chain-level lift, so the result is a plain
-    # cohomology-level instance
-    return dataclasses.replace(
-        instance,
-        w=w, w_label=f"W(redraw={seed})",
-        level=LEVEL_COHOMOLOGY, complex=None, chain_special=None, chain_w=None,
-    )

@@ -125,20 +125,21 @@ def cohomology(c: CochainComplex) -> CohomologyResult:
     for q in DEGREES:
         z = kernel_basis(c.d.block(q))
         b = image_basis(c.d.block(q - 1))
-        # d o d = 0 makes this containment automatic
-        b_in_z = z.coordinates_of(b.basis)
-        qs = quotient(z.dim, Subspace.span(z.dim, b_in_z))
-        # selector of pivot rows inverts the echelon basis on its image
+        # Z^q's echelon basis is the identity on its pivot rows, so a
+        # cocycle's coordinates are its entries there; B^q consists of
+        # cocycles since d o d = 0, checked when the complex was built
         piv = z.pivot_rows()
+        qs = quotient(z.dim, Subspace.span(z.dim, b.basis.submatrix(piv, range(b.dim))))
+        # the class projection reads those entries: the quotient's
+        # projection with its columns placed at the pivot rows
         n = c.space.dim(q)
-        selector = Matrix(
-            z.dim, n,
-            tuple(tuple(Fraction(1 if j == piv[i] else 0) for j in range(n)) for i in range(z.dim)),
-        )
+        at = dict(zip(piv, range(z.dim)))
+        zero = Fraction(0)
+        proj = tuple(tuple(row[at[j]] if j in at else zero for j in range(n)) for row in qs.projection.entries)
         cocycles.append(z)
         coboundaries.append(b)
         secs.append(z.basis @ qs.section)
-        projs.append(qs.projection @ selector)
+        projs.append(Matrix(qs.dim, n, proj))
         quots.append(qs)
         hdims.append(qs.dim)
     return CohomologyResult(

@@ -10,7 +10,7 @@ one path from chain-level data to an instance, for loader and generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .errors import NotAChainMap, ValidationError
@@ -59,9 +59,6 @@ class Instance:
             raise ValidationError(
                 "chain-level instance needs its complex, special data and chain map"
             )
-
-    def with_w(self, w: GradedMap, label: str, chain_w: GradedMap | None = None) -> "Instance":
-        return replace(self, w=w, w_label=label, chain_w=chain_w)
 
     @property
     def name(self) -> str:

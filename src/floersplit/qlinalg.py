@@ -275,13 +275,6 @@ class Subspace:
                 out.append(i)
         return tuple(out)
 
-    def coordinates_of(self, vectors: Matrix) -> Matrix:
-        """Coordinates of the given column vectors in this basis."""
-        x = _pivot_coordinates(self, vectors)
-        if x is None:
-            raise ValueError("vectors not contained in subspace")
-        return x
-
 
 def _pivot_coordinates(s: Subspace, vectors: Matrix) -> Matrix | None:
     """Coordinates of the columns of ``vectors`` in s's basis, or None when

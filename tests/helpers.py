@@ -8,12 +8,17 @@ quantities from their definitions recomputed with raw traces.
 
 from __future__ import annotations
 
+import dataclasses
 import random
+import types
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from floersplit import gen
+from floersplit.cobordism import validate_relations
 from floersplit.graded import CochainComplex, GradedMap, GradedSpace
+from floersplit.instance import LEVEL_COHOMOLOGY, Instance
 from floersplit.qlinalg import Matrix, RrefResult, Subspace, intersect, kernel_basis, rref
 
 
@@ -287,7 +292,7 @@ def oracle_splitting_sides(instance):
         chi += (-1) ** q * instance.space.dim(q)
         chi_red += (-1) ** q * (z[q].dim - b[q].dim)
         on_z = restrict(w.block(q), z[q])
-        b_in_z = z[q].coordinates_of(b[q].basis)
+        b_in_z = dense_solve(z[q].basis, b[q].basis)
         qs = quotient(z[q].dim, Subspace.span(z[q].dim, b_in_z))
         lef_hat += Fraction((-1) ** q) * trace(induced_on_quotient(on_z, qs))
     lam = -lef_w / 2
@@ -401,3 +406,59 @@ def perturb_w(w: GradedMap, sp, k: int) -> GradedMap:
     blocks = list(w.blocks)
     blocks[q] = blocks[q] + bump.scale(Fraction(1, 2))
     return GradedMap(w.source, w.target, w.shift, tuple(blocks))
+
+
+def product_cobordism(instance: Instance) -> Instance:
+    """Same spaces and special pair, cobordism map replaced by identity."""
+    chain_ident = GradedMap.identity(instance.complex.space) if instance.complex else None
+    return dataclasses.replace(
+        instance, w=GradedMap.identity(instance.space), w_label="product", chain_w=chain_ident
+    )
+
+
+def redraw_cobordism(instance: Instance, seed: int) -> Instance:
+    """Fresh valid cobordism map for the same space and special pair.
+
+    Used to exercise independence of the reported invariants from the
+    choice of map; new correction coefficients are planted and a new
+    solution of the relation system is drawn.
+    """
+    sp, space = instance.pair, instance.space
+    blocks, _, _ = gen._w_blocks(random.Random(seed), space, sp, periodic=False)
+    w = GradedMap(space, space, 0, tuple(blocks))
+    assert validate_relations(w, sp).ok, f"redrawn cobordism failed validation (seed {seed})"
+    # the fresh map has no chain-level lift, so the result is a plain
+    # cohomology-level instance
+    return dataclasses.replace(
+        instance,
+        w=w, w_label=f"W(redraw={seed})",
+        level=LEVEL_COHOMOLOGY, complex=None, chain_special=None, chain_w=None,
+    )
+
+
+class _UpperEndRandom(random.Random):
+    """``random.Random`` whose first ``upper`` ``randint`` draws return
+    their upper end; later draws are the seeded stream's."""
+
+    def __init__(self, seed, upper: int):
+        super().__init__(seed)
+        self.upper = upper
+
+    def randint(self, a, b):
+        if self.upper:
+            self.upper -= 1
+            return b
+        return super().randint(a, b)
+
+
+def gen_at_upper_end(cfg: gen.GenConfig) -> Instance:
+    """``gen.gen_instance(cfg)`` with every dimension draw at its upper end:
+    the generator's first 8 ``randint`` draws (the degree dimensions), or
+    16 at chain level (acyclic and harmonic ranks), return their bound."""
+    draws = 16 if cfg.chain_level else 8
+    real = gen.random
+    gen.random = types.SimpleNamespace(Random=lambda seed: _UpperEndRandom(seed, draws))
+    try:
+        return gen.gen_instance(cfg)
+    finally:
+        gen.random = real

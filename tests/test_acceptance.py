@@ -22,7 +22,7 @@ from floersplit.cobordism import (
     verify_splitting,
 )
 from floersplit.froyshov import Case, froyshov_h, reduced
-from floersplit.gen import GenConfig, gen_chain_instance, gen_instance, redraw_cobordism
+from floersplit.gen import GenConfig, gen_chain_instance, gen_instance
 from floersplit.graded import (
     CohomologyResult,
     cohomology,
@@ -39,6 +39,7 @@ from helpers import (
     oracle_cohomology_dims,
     oracle_family_on_cocycles,
     oracle_splitting_sides,
+    redraw_cobordism,
 )
 
 SWEEP_SEEDS = range(1, 1001)

@@ -24,8 +24,6 @@ from floersplit.gen import (
     GenConfig,
     gen_chain_instance,
     gen_instance,
-    product_cobordism,
-    redraw_cobordism,
 )
 from floersplit.graded import GradedSpace, cohomology, euler
 from floersplit.qlinalg import Matrix, Subspace, rref
@@ -35,8 +33,11 @@ from helpers import (
     coefficients,
     contains,
     dense_matmul,
+    gen_at_upper_end,
     oracle_cohomology_dims,
     oracle_family_on_cocycles,
+    product_cobordism,
+    redraw_cobordism,
     sparse_scalars,
     word_matrices,
 )
@@ -53,6 +54,15 @@ def test_config_validation():
         with pytest.raises(ValidationError, match=f"past {MAX_GEN_DIM}"):
             GenConfig(seed=1, max_dim=max_dim)
     GenConfig(seed=1, max_dim=MAX_GEN_DIM)
+    # a float dimension or seed, a string, a bool and no seed at all
+    # (which would seed from OS entropy) are refused
+    non_ints = (
+        ("max_dim", 2.5), ("n_max", 2.5), ("max_dim", "3"), ("n_max", True),
+        ("seed", None), ("seed", 1.5), ("seed", False),
+    )
+    for name, value in non_ints:
+        with pytest.raises(ValidationError, match=f"{name} must be an int, not {type(value).__name__}"):
+            GenConfig(**{"seed": 1, name: value})
 
 
 @pytest.mark.parametrize(
@@ -260,6 +270,28 @@ def test_chain_soundness():
         inst = gen_chain_instance(GenConfig(seed=seed, chain_level=True))
         assert validate_relations(inst.w, inst.pair).ok
         assert verify_splitting(inst).passed
+
+
+@pytest.mark.parametrize("max_dim", [6, 8])
+@pytest.mark.parametrize(
+    "mode",
+    [{}, {"periodic": True}, {"chain_level": True}, {"chain_level": True, "periodic": True}],
+    ids=["default", "periodic", "chain-level", "chain-level-periodic"],
+)
+def test_generator_at_the_upper_end_of_every_dimension_draw(mode, max_dim):
+    """The relations hold by construction also where every block is as
+    large as the config allows; the consumer's checks pass there."""
+    for seed in (1, 2):
+        inst = gen_at_upper_end(GenConfig(seed=seed, max_dim=max_dim, **mode))
+        if mode.get("chain_level"):
+            assert inst.metadata["planted_h_dims"] == [max_dim] * 8
+            assert inst.complex.space.dims == (2 * (max_dim // 2) + max_dim,) * 8
+        else:
+            assert inst.space.dims == (max_dim,) * 8
+        assert validate_relations(inst.w, inst.pair).ok
+        verdict = verify_splitting(inst, with_trace=True)
+        assert verdict.passed
+        assert verdict.refinement.ok
 
 
 # -- product and redraw ---------------------------------------------------------

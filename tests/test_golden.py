@@ -12,17 +12,24 @@ copies of the fixture documents, and pin that reading the fixture files
 prints the same listings, entries, exports and reports.  A digest
 changes only when an output changes; a deliberate output change must
 re-record it and say why.
+
+The digests of the `verify gen:N` and `trace gen:N` reports and of the
+chain-level verdicts were recorded on the commit whose generator still
+ran its own relation check and whose cohomology still rebuilt B^q from
+its coordinates in Z^q, before either was removed; they pin that
+dropping those checks changed no report and no verdict.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import pathlib
 
 import pytest
 
-from floersplit.cli import main
-from floersplit.cobordism import validate_relations
+from floersplit.cli import _verdict_json, main
+from floersplit.cobordism import validate_relations, verify_splitting
 from floersplit.gen import GenConfig, gen_instance
 from floersplit.serialize import dumps
 
@@ -109,6 +116,26 @@ CATALOG_DIGESTS = {
         "8bf691d4db6c4bb007107ac9af33b53477d72f1012582142a3a6e3fb3c54f3e3",
 }
 
+# SHA-256 of the concatenated stdouts of `floersplit --format json COMMAND
+# gen:N` for N in 0..39
+GENERATED_REPORT_DIGESTS = {
+    "verify": "82e1af8d9f4c2322040ee281277ec6371467d9b59d0e50f762d281f58d5841ee",
+    "trace": "65ea332d740fa6256175f1ae8e1d8610c20c3f2d1fb25d362fe54ff2d2a44b36",
+}
+
+# SHA-256 of the newline-joined sorted-key JSON of cli._verdict_json of
+# verify_splitting on the chain-level seeds' instances
+CHAIN_VERDICT_DIGESTS = {
+    "chain_level": (
+        {"chain_level": True}, range(1, 7),
+        "3d3885ae9e1b53a5f839099115acf55a1ed9795c8e9845f7db9e08ea27f6a155",
+    ),
+    "chain_level_periodic": (
+        {"chain_level": True, "periodic": True}, range(1, 7),
+        "74f540e8367fa1f92e0846551ed6e5b963df92e99aa535ba5e0b7e828de1feea",
+    ),
+}
+
 # SHA-256 of the newline-joined validate_relations reports of the seeds'
 # instances, each with its own W and with perturb_w(W, pair, seed % 2)
 RELATION_DIGESTS = {
@@ -146,6 +173,25 @@ def test_catalog_target_reports_are_golden(name, command, capsys):
     rc = main(["--format", "json", command, f"catalog:{name}"])
     assert rc == 0
     assert _sha256(capsys.readouterr().out) == REPORT_DIGESTS[name, command]
+
+
+@pytest.mark.parametrize("command", sorted(GENERATED_REPORT_DIGESTS))
+def test_generated_seed_reports_are_golden(command, capsys):
+    outs = []
+    for n in range(40):
+        assert main(["--format", "json", command, f"gen:{n}"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert _sha256("".join(outs)) == GENERATED_REPORT_DIGESTS[command]
+
+
+@pytest.mark.parametrize("mode", sorted(CHAIN_VERDICT_DIGESTS))
+def test_chain_level_verdicts_are_golden(mode):
+    kwargs, seeds, digest = CHAIN_VERDICT_DIGESTS[mode]
+    lines = []
+    for s in seeds:
+        verdict = verify_splitting(gen_instance(GenConfig(seed=s, **kwargs)))
+        lines.append(json.dumps(_verdict_json(verdict), sort_keys=True))
+    assert _sha256("\n".join(lines)) == digest
 
 
 @pytest.mark.parametrize("name,tower", sorted(TOWER_DIGESTS))

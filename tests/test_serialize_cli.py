@@ -1010,7 +1010,8 @@ def test_cli_trace_wrong_tower_for_case(capsys):
     assert captured.err == "validation error: span-tower replay needs a vanishing delta family\n"
 
 
-def test_cli_sweep_failure_dump(tmp_path, capsys, monkeypatch):
+def _sabotage_seed_2(monkeypatch):
+    """The CLI's verify raises an identity failure on seed 2."""
     import floersplit.cli as cli
     from floersplit.errors import TheoremCounterexample
 
@@ -1022,22 +1023,66 @@ def test_cli_sweep_failure_dump(tmp_path, capsys, monkeypatch):
         return real(instance, **kw)
 
     monkeypatch.setattr(cli, "verify_splitting", sabotage)
+
+
+def _perturb_a_solved_block(monkeypatch):
+    """The generator adds the identity to the cobordism block it solved for
+    the active family's member 0, so that member's degree-zero relation
+    fails wherever it is nonzero."""
+    from floersplit import gen
+    from floersplit.froyshov import Case
+
+    real = gen._w_blocks
+
+    def perturbed(rng, space, pair, periodic):
+        blocks, planted_a, planted_b = real(rng, space, pair, periodic)
+        q = {Case.DELTA_SIDE: 4, Case.DELTA_PRIME_SIDE: 1}.get(pair.case)
+        if q is not None:
+            blocks[q] = blocks[q] + Matrix.identity(space.dim(q))
+        return blocks, planted_a, planted_b
+
+    monkeypatch.setattr(gen, "_w_blocks", perturbed)
+
+
+@pytest.mark.parametrize(
+    "plant,rc,kind",
+    [(_sabotage_seed_2, 1, "identity"), (_perturb_a_solved_block, 2, "validation")],
+    ids=["broken-verify", "broken-generator"],
+)
+def test_cli_sweep_failure_dump(plant, rc, kind, tmp_path, capsys, monkeypatch):
+    """Every failing seed is dumped, and verifying its dump exits as the
+    sweep did with the sweep's error, also when the generator is at fault."""
+    plant(monkeypatch)
     monkeypatch.chdir(tmp_path)
-    rc = main(["sweep", "--seeds", "1..3"])
-    out = capsys.readouterr().out
-    assert rc == 1
-    assert "2/3 passed" in out and "FAIL seed 2" in out
-    dump = tmp_path / "floersplit-failure-2.json"
-    assert dump.exists()
-    replay = document_to_instance(json.loads(dump.read_text()))
-    assert replay.metadata["seed"] == 2
+    assert main(["--format", "json", "sweep", "--seeds", "1..6"]) == rc
+    report = json.loads(capsys.readouterr().out)
+    failures = report["failures"]
+    assert failures and report["passed"] == 6 - len(failures)
+    if kind == "identity":
+        assert [f["seed"] for f in failures] == [2]
+    assert main(["sweep", "--seeds", "1..6"]) == rc
+    text = capsys.readouterr().out.splitlines()
+    assert text[0] == f"sweep: {report['passed']}/6 passed"
+    assert text[-len(failures):] == [
+        f"  FAIL seed {f['seed']}: {f['error']} (dumped to {f['dump']})" for f in failures
+    ]
+    for f in failures:
+        assert f["kind"] == kind
+        assert f["dump"] == f"floersplit-failure-{f['seed']}.json"
+        replay = document_to_instance(json.loads((tmp_path / f["dump"]).read_text()))
+        assert replay.metadata["seed"] == f["seed"]
+        assert main(["verify", f["dump"]]) == rc
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f["error"])
 
 
 def test_cli_sweep_analyses_each_seed_once(monkeypatch, tmp_path, capsys):
-    import floersplit.cobordism as cob
-    import floersplit.froyshov as froyshov
+    """One sweep seed validates its relations once and analyses its reduced
+    theory once, counted in every module that binds each name."""
+    import sys
 
-    calls = {"reduced": 0, "reduced_induced": 0}
+    import floersplit.cobordism as cob
+
+    calls = {"validate_relations": 0, "reduced": 0, "reduced_induced": 0}
 
     def counting(name, real):
         def wrapper(*args):
@@ -1046,15 +1091,17 @@ def test_cli_sweep_analyses_each_seed_once(monkeypatch, tmp_path, capsys):
 
         return wrapper
 
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "floersplit"]
     for name in calls:
-        wrapper = counting(name, getattr(cob, name))
-        for module in (froyshov, cob):  # wherever the name is bound
-            if hasattr(module, name):
+        real = getattr(cob, name)
+        wrapper = counting(name, real)
+        for module in modules:  # wherever the name is bound
+            if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, wrapper)
     monkeypatch.chdir(tmp_path)  # where a failing seed would be dumped
     assert main(["sweep", "--seeds", "1..5"]) == 0
     assert "5/5 passed" in capsys.readouterr().out
-    assert calls == {"reduced": 5, "reduced_induced": 5}
+    assert calls == {"validate_relations": 5, "reduced": 5, "reduced_induced": 5}
 
 
 def test_cli_sweep_jobs_clamped_to_cores(monkeypatch, capsys):
