@@ -122,35 +122,42 @@ def validate_relations(w: GradedMap, sp: SpecialPair) -> RelationReport:
     at a time in a running echelon form, so each member costs one
     reduction against it; for the degree-zero members that span is zero,
     so they must be fixed exactly (delta_0 o W = delta_0, W o delta'_0 =
-    delta'_0).  The coefficients of one exact decomposition are returned
-    (free variables zero), with integrality and uniqueness reported.
+    delta'_0).  The t-th member to grow a span enters with the unit vector
+    e_t appended (there are at most the block's dimension) and a defect
+    with zeros, so minus a defect's residual past that dimension is its
+    coefficients over those members: one exact decomposition (free
+    variables zero), with integrality and uniqueness reported.
     """
     violations: list[RelationViolationRecord] = []
     solved = []  # (coefficients, nonunique indices) per family
-    zero = Fraction(0)
+    zero, one = Fraction(0), Fraction(1)
     for fam in FAMILIES:
         members = getattr(sp, fam.key)
         defects: list = [None] * len(members)
-        spans = []  # the lower members of each parity
+        spans = []  # the lower members of each parity, and those that grew it
         for parity in range(min(2, len(members))):
             block = w.block(fam.degree(parity))
             defects[parity::2] = _defects(fam, block, members[parity::2])
-            spans.append(RunningSpan(block.rows))
+            spans.append((RunningSpan(block.rows), []))
         coeffs: dict[tuple[int, int], Fraction] = {}
         nonunique: list[int] = []
         for n, (m, defect) in enumerate(zip(members, defects)):
-            span = spans[n % 2]
-            x = span.coordinates(defect)
-            if x is None:
-                rows, cols = fam.shape(len(defect))
+            span, entered = spans[n % 2]
+            dim = len(defect)
+            r = span.residual(defect + (zero,) * dim)
+            if any(r[:dim]):
+                rows, cols = fam.shape(dim)
                 shown = Matrix(rows, cols, (defect,) if fam.functional else tuple((v,) for v in defect))
                 violations.append(RelationViolationRecord(fam.relation, n, fam.degree(n), shown))
             else:
+                x = {i: -r[dim + t] for t, i in enumerate(entered)}
                 lower = range(n % 2, n, 2)
                 coeffs.update({(i, n): x.get(i, zero) for i in lower})
                 if span.rank < len(lower):
                     nonunique.append(n)
-            span.add(n, fam.vector(m))
+            t = span.rank
+            if span.add(fam.vector(m) + (zero,) * t + (one,) + (zero,) * (dim - t - 1)):
+                entered.append(n)
         solved.append((coeffs, tuple(nonunique)))
     (a, nonunique_a), (b, nonunique_b) = solved
     return RelationReport(

@@ -185,7 +185,7 @@ def krylov_families(d0: Matrix, p0: Matrix, v_blocks, dims, n_min: int) -> Speci
         deltas.append(d)
         primes.append(p)
         for q, vec in ((delta_degree(n), d.entries[0]), (delta_prime_degree(n), p.col(0))):
-            if not spans[q].add(n, vec):
+            if not spans[q].add(vec):
                 stable.add(q)
         if n >= n_min and len(stable) == 4:
             return SpecialPair(n, tuple(deltas), tuple(primes), derive_case(deltas, primes))
@@ -248,7 +248,7 @@ def tower(dim: int, q: int, members):
     span = RunningSpan(dim)
     for n, m in members:
         nxt = stage
-        if span.add(n, m.entries[0] if kernel else m.col(0)):
+        if span.add(m.entries[0] if kernel else m.col(0)):
             nxt = span.kernel() if kernel else span.subspace()
         yield n, m, stage, nxt
         stage = nxt
@@ -263,8 +263,8 @@ def _tower_ends(h: GradedSpace, sp: SpecialPair, degrees, start) -> tuple[Subspa
     for q in degrees:
         if members := tower_members(sp, q):
             span = RunningSpan(h.dim(q))
-            for n, m in members:
-                span.add(n, tuple(x for r in m.entries for x in r))
+            for _, m in members:
+                span.add(tuple(x for r in m.entries for x in r))
             ends[q] = span.kernel() if q in (0, 4) else span.subspace()
     return tuple(ends)
 

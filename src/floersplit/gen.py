@@ -138,7 +138,7 @@ def _solve_member_block(rng, dim, members, planted):
     d_mat = Matrix.zeros(0, dim)
     r_mat = Matrix.zeros(0, dim)
     for idx, (n, row) in enumerate(members):
-        if span.add(n, row.entries[0]):
+        if span.add(row.entries[0]):
             rhs = row
             for i, row_i in members[:idx]:
                 c = rng.randint(-ENTRY_BOUND, ENTRY_BOUND)

@@ -41,10 +41,6 @@ class GradedSpace:
     def of(dims) -> "GradedSpace":
         return GradedSpace(tuple(int(d) for d in dims))
 
-    @staticmethod
-    def zero() -> "GradedSpace":
-        return GradedSpace((0,) * 8)
-
     def dim(self, q: int) -> int:
         return self.dims[_mod8(q)]
 
@@ -76,10 +72,6 @@ class GradedMap:
 
     def block(self, q: int) -> Matrix:
         return self.blocks[_mod8(q)]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(b.is_zero for b in self.blocks)
 
 
 @dataclass(frozen=True)
@@ -136,9 +128,12 @@ def cohomology(c: CochainComplex) -> CohomologyResult:
         at = dict(zip(piv, range(z.dim)))
         zero = Fraction(0)
         proj = tuple(tuple(row[at[j]] if j in at else zero for j in range(n)) for row in qs.projection.entries)
+        # the quotient's section is the unit vectors at its non-pivot
+        # coordinates, so a class's representative is that column of Z^q
+        bpiv = set(qs.subspace.pivot_rows())
         cocycles.append(z)
         coboundaries.append(b)
-        secs.append(z.basis @ qs.section)
+        secs.append(z.basis.submatrix(range(n), (t for t in range(z.dim) if t not in bpiv)))
         projs.append(Matrix(qs.dim, n, proj))
         quots.append(qs)
         hdims.append(qs.dim)

@@ -12,9 +12,16 @@ kept in column-reduced echelon form, which makes subspace equality plain
 representation equality.
 
 There is one elimination, the running echelon form of ``RunningSpan``
-behind ``rref``, ``solve`` and the kernels.  A canonical basis is the
-identity on its pivot rows, so subspace coordinates are read there, and
-rebuilding the vectors from them checks containment and invariance.
+behind ``rref``, ``solve`` and the kernels.  It keeps one sparse row per
+pivot.  A caller that needs a vector's combination of the added vectors
+appends unit vectors to them, the augmented matrix [A | I]: the entries
+past the span's dimension ride along through every row operation and
+never become pivots, so a residual's tail holds minus the combination.
+Giving e_t to the t-th vector that grows the span keeps that tail no
+wider than the span's dimension, however many dependent vectors come.
+A canonical basis is the identity on its pivot rows, so subspace
+coordinates are read there, and rebuilding the vectors from them checks
+containment and invariance.
 
 Matrix storage is dense; instance sizes in this engine are at most tens
 of dimensions per degree.  Products skip zero factors and elimination
@@ -206,8 +213,8 @@ def rref(m: Matrix) -> RrefResult:
     from it stay equal exactly when their representations are.
     """
     span = RunningSpan(m.cols)
-    for i, r in enumerate(m.entries):
-        span.add(i, r)
+    for r in m.entries:
+        span.add(r)
     zero_row = (Q(0),) * m.cols
     ech = Matrix(m.rows, m.cols, span.rows.entries + (zero_row,) * (m.rows - span.rank))
     return RrefResult(ech, tuple(sorted(span._rows)), span.rank)
@@ -216,20 +223,29 @@ def rref(m: Matrix) -> RrefResult:
 def solve(a: Matrix, b: Matrix) -> Matrix | None:
     """One exact solution X of a @ X = b with free variables set to zero.
 
-    Returns None when the system is inconsistent.  b may have any number
-    of columns; each is read against one running span of a's columns,
-    whose independent columns are exactly a's pivot columns.
+    Returns None when the system is inconsistent.  a's columns enter one
+    running span, the t-th column to grow it with the unit vector e_t
+    appended (there are at most a.rows), so each row's tail is its
+    combination of those columns; b's columns enter with zeros appended,
+    and minus a residual's tail is X's column at them.  A dependent column
+    never enters the span, so its variable is zero.
     """
     if a.rows != b.rows:
         raise ValueError("solve: row mismatch")
-    span = RunningSpan(a.rows)
+    zero, one = Q(0), Q(1)
+    span, entered = RunningSpan(a.rows), []
     for j in range(a.cols):
-        span.add(j, a.col(j))
-    coords = [span.coordinates(b.col(j)) for j in range(b.cols)]
-    if None in coords:
-        return None
-    zero = Q(0)
-    return Matrix(a.cols, b.cols, tuple(tuple(c.get(i, zero) for c in coords) for i in range(a.cols)))
+        t = span.rank
+        if span.add(a.col(j) + (zero,) * t + (one,) + (zero,) * (a.rows - t - 1)):
+            entered.append(j)
+    x = [[zero] * b.cols for _ in range(a.cols)]
+    for k in range(b.cols):
+        r = span.residual(b.col(k) + (zero,) * a.rows)
+        if any(r[: a.rows]):
+            return None
+        for t, j in enumerate(entered):
+            x[j][k] = -r[a.rows + t]
+    return Matrix(a.cols, b.cols, tuple(map(tuple, x)))
 
 
 @dataclass(frozen=True)
@@ -296,8 +312,8 @@ def _row_span(vectors: Matrix) -> Subspace:
 def kernel_basis(m: Matrix) -> Subspace:
     """Canonical basis of {v : m v = 0}; dimension is cols - rank."""
     span = RunningSpan(m.cols)
-    for i, r in enumerate(m.entries):
-        span.add(i, r)
+    for r in m.entries:
+        span.add(r)
     return span.kernel()
 
 
@@ -305,74 +321,60 @@ class RunningSpan:
     """The span of vectors in Q^dim added one at a time, kept in one
     running reduced echelon form.
 
-    Each row is 1 at its pivot and 0 at every other pivot, and carries its
-    combination of the independent vectors added so far (those for which
-    ``add`` returned True), keyed by the caller's distinct keys.  Adding a
-    vector reduces it against the rows and, when something is left,
-    eliminates the new pivot from the other rows; nothing is ever
-    re-eliminated from scratch.  The independent vectors are exactly the
-    pivot columns of the added vectors stacked as columns, so
-    ``coordinates`` solves that system with free variables set to zero.
+    A vector's first ``dim`` entries are eliminated on; any entries past
+    them are carried through every row operation and never become pivots,
+    the augmented matrix [A | I] when a caller appends unit vectors (a
+    vector needs an entry at every column a row reaches).  There is one
+    sparse row per pivot, 1 at its pivot and 0 at every other pivot.  Adding a vector
+    reduces it against the rows and, when something is left in its first
+    ``dim`` entries, eliminates the new pivot from the other rows; nothing
+    is ever re-eliminated from scratch.
     """
 
     __slots__ = ("dim", "_rows")
 
     def __init__(self, dim: int):
         self.dim = dim
-        # pivot -> (the row's nonzeros by column, its combination by key)
-        self._rows: dict[int, tuple[dict[int, Fraction], dict]] = {}
+        self._rows: dict[int, dict[int, Fraction]] = {}  # pivot -> the row's nonzeros by column
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, v: Sequence[Fraction]):
-        """v minus its part in the span, and the (multiple, combination)
-        of each row in that part."""
-        if len(v) != self.dim:
+    def residual(self, v: Sequence[Fraction]) -> list[Fraction]:
+        """v minus its part in the span: zero in the first ``dim`` entries
+        exactly when those entries lie in the span, and with every appended
+        entry carried along."""
+        if len(v) < self.dim:
             raise ValueError(f"vector of length {len(v)} in a span of Q^{self.dim}")
         residual = list(v)
-        used = []
-        for p, (row, combo) in self._rows.items():
+        for p, row in self._rows.items():
             # every other row is zero at p, so v's own entry is the multiple
-            c = v[p]
-            if c:
+            if c := v[p]:
                 for j, x in row.items():
                     residual[j] -= c * x
-                used.append((c, combo))
-        return residual, used
+        return residual
 
-    def coordinates(self, v: Sequence[Fraction]) -> dict | None:
-        """v's combination of the independent vectors (a missing key has
-        coefficient zero), or None when v lies outside the span."""
-        residual, used = self._reduce(v)
-        return None if any(residual) else _combine(used)
-
-    def add(self, key, v: Sequence[Fraction]) -> bool:
-        """Add v under ``key``; True exactly when the span grew."""
-        residual, used = self._reduce(v)
-        nonzeros = [(j, x) for j, x in enumerate(residual) if x]
-        if not nonzeros:
+    def add(self, v: Sequence[Fraction]) -> bool:
+        """Add v; True exactly when the span grew."""
+        nonzeros = [(j, x) for j, x in enumerate(self.residual(v)) if x]
+        if not nonzeros or nonzeros[0][0] >= self.dim:
             return False
         pc, lead = nonzeros[0]
-        inv = Q(1) / lead
         # a leading 1, the usual case on integer data, needs no scaling
-        row = dict(nonzeros) if lead == 1 else {j: x * inv for j, x in nonzeros}
-        combo = {k: -c * inv for k, c in _combine(used).items()}
-        combo[key] = inv
-        for other, other_combo in self._rows.values():
+        row = dict(nonzeros) if lead == 1 else {j: x / lead for j, x in nonzeros}
+        for other in self._rows.values():
             if f := other.get(pc):
                 _axpy(other, -f, row)
-                _axpy(other_combo, -f, combo)
-        self._rows[pc] = (row, combo)
+        self._rows[pc] = row
         return True
 
     @property
     def rows(self) -> Matrix:
-        """The reduced echelon rows in pivot order: ``rref`` of the added
-        vectors stacked as rows, without its zero rows."""
+        """The reduced echelon rows in pivot order, first ``dim`` entries:
+        ``rref`` of the added vectors stacked as rows, without its zero rows."""
         cols, zeros = range(self.dim), [Q(0)] * self.dim
-        rows = (self._rows[p][0] for p in sorted(self._rows))
+        rows = (self._rows[p] for p in sorted(self._rows))
         return Matrix(self.rank, self.dim, tuple(tuple(map(r.get, cols, zeros)) for r in rows))
 
     def subspace(self) -> "Subspace":
@@ -386,19 +388,11 @@ class RunningSpan:
         for f in (j for j in range(self.dim) if j not in self._rows):
             v = [Q(0)] * self.dim
             v[f] = Q(1)
-            for p, (row, _) in self._rows.items():
+            for p, row in self._rows.items():
                 if x := row.get(f):
                     v[p] = -x
             vectors.append(tuple(v))
         return _row_span(Matrix(len(vectors), self.dim, tuple(vectors)))
-
-
-def _combine(used) -> dict:
-    """Sum of multiple * combination over the rows ``_reduce`` used."""
-    coeffs: dict = {}
-    for c, combo in used:
-        _axpy(coeffs, c, combo)
-    return coeffs
 
 
 def _axpy(y: dict, a: Fraction, x: dict) -> None:

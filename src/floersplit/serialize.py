@@ -148,8 +148,10 @@ def document_to_instance(doc: Any) -> Instance:
     level = doc.get("level")
     if level not in (LEVEL_COHOMOLOGY, LEVEL_CHAIN):
         raise ParseError(f"unknown level {shown(level)}")
-    metadata = doc.get("metadata") or {}
-    if not isinstance(metadata, dict):
+    metadata = doc.get("metadata")
+    if metadata is None:
+        metadata = {}
+    elif not isinstance(metadata, dict):
         raise ParseError("metadata must be an object")
     cob = doc.get("cobordism")
     if not isinstance(cob, dict) or "blocks" not in cob:

@@ -188,6 +188,14 @@ def graded_space(*dims):
     return GradedSpace.of(dims)
 
 
+def zero_space() -> GradedSpace:
+    return GradedSpace((0,) * 8)
+
+
+def is_zero_map(f: GradedMap) -> bool:
+    return all(b.is_zero for b in f.blocks)
+
+
 def zero_map(space, shift=0):
     """The zero endomap of ``space`` raising degree by ``shift``."""
     return GradedMap(

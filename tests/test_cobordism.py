@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,13 +24,24 @@ from floersplit.errors import (
     RelationViolation,
     StepMismatch,
 )
-from floersplit.froyshov import Case, SpecialPair, derive_case, reduced, tower_members
+from floersplit.froyshov import FAMILIES, Case, SpecialPair, derive_case, reduced, tower_members
 from floersplit.gen import GenConfig, gen_instance
 from floersplit.graded import GradedMap, GradedSpace, lefschetz
 from floersplit.instance import COHOMOLOGY, HOMOLOGY, Instance
 from floersplit.qlinalg import Matrix, Subspace
 
-from helpers import blocks_map, contains, graded_space, mat, perturb_w, reference_tower
+from helpers import (
+    blocks_map,
+    contains,
+    dense_kernel_basis,
+    dense_matmul,
+    dense_rref,
+    dense_solve,
+    graded_space,
+    mat,
+    perturb_w,
+    reference_tower,
+)
 
 from test_froyshov import _kinds, _pair, _random_pair, _sigma_like_pair, _sigma_like_space
 
@@ -150,6 +162,110 @@ def test_relations_mirror_under_transposition():
                 cases += 1
     assert cases >= 40
 
+
+
+def _oracle_relations(w, sp):
+    """``validate_relations`` from its definition: each member's defect
+    from dense products, solved by ``dense_solve`` against the lower
+    same-parity members as columns, non-unique when those are dependent.
+    Returns ((a, nonunique_a), (b, nonunique_b)) and the violations."""
+    solved, violations = [], []
+    for fam in FAMILIES:
+        members = getattr(sp, fam.key)
+        coeffs, nonunique = {}, []
+        for n, m in enumerate(members):
+            block = w.block(fam.degree(n))
+            defect = (dense_matmul(m, block) if fam.functional else dense_matmul(block, m)) - m
+            target = Matrix.column(fam.vector(defect))
+            lower = range(n % 2, n, 2)
+            cols = [fam.vector(members[i]) for i in lower]
+            a = Matrix(target.rows, len(cols), tuple(tuple(c[r] for c in cols) for r in range(target.rows)))
+            x = dense_solve(a, target)
+            if x is None:
+                violations.append((fam.relation, n, fam.degree(n), defect))
+                continue
+            coeffs.update({(i, n): x.entries[k][0] for k, i in enumerate(lower)})
+            if dense_rref(a).rank < len(cols):
+                nonunique.append(n)
+        solved.append((coeffs, tuple(nonunique)))
+    return solved, violations
+
+
+def _moved_past(w, sp, k, rng):
+    """W with the block that member k acts on moved by a third or two
+    thirds of a rank-one term through member k and a random u that kills member k and the lower
+    same-parity members: the defects of those stay as they were, and each
+    higher one moves by a multiple of member k, inside its lower span."""
+    fam = next((f for f in FAMILIES if f.case is sp.case), None)
+    if fam is None:
+        return w
+    q, members = fam.degree(k), getattr(sp, fam.key)
+    dim = w.block(q).rows
+    killed = Matrix.from_rows([fam.vector(members[i]) for i in range(k % 2, k + 1, 2)], cols=dim)
+    ker = dense_kernel_basis(killed)
+    if not ker.dim:
+        return w
+    u = ker.basis @ Matrix.from_rows([[rng.randint(-2, 2)] for _ in range(ker.dim)], cols=1)
+    bump = u @ members[k] if fam.functional else members[k] @ u.transpose()
+    blocks = list(w.blocks)
+    blocks[q] = blocks[q] + bump.scale(Fraction(rng.choice((1, 2)), 3))
+    return GradedMap(w.source, w.target, w.shift, tuple(blocks))
+
+
+def _random_relation_cases():
+    """(w, pair) on random pairs with zero, repeated, dependent and
+    non-integral members, W the identity moved through members
+    (``perturb_w``, or ``_moved_past`` so that the relations keep holding)
+    or with one block redrawn at random; then generated instances, as
+    drawn and moved the same two ways."""
+    kinds = _kinds()
+    for seed in range(400):
+        space, pair = _random_pair(seed, kinds)
+        rng = random.Random(seed)
+        w = GradedMap.identity(space)
+        mode = rng.choice(("identity", "perturb", "moved", "moved", "moved", "random block"))
+        for _ in range(mode in ("perturb", "moved") and rng.randint(1, 2)):
+            if mode == "perturb":
+                w = perturb_w(w, pair, rng.randint(0, pair.n_max))
+            else:  # a low member, so that higher ones move
+                w = _moved_past(w, pair, rng.randint(0, min(1, pair.n_max)), rng)
+        if mode == "random block":
+            q, blocks = rng.choice((0, 1, 4, 5)), list(w.blocks)
+            d = space.dim(q)
+            blocks[q] = Matrix.from_rows(
+                [[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(d)] for _ in range(d)], cols=d
+            )
+            w = GradedMap(space, space, 0, tuple(blocks))
+        yield w, pair
+    assert min(kinds.values()) > 50, kinds
+    for seed in range(1, 41):
+        inst = gen_instance(GenConfig(seed=seed, periodic=seed % 2 == 0))
+        rng = random.Random(seed)
+        yield inst.w, inst.pair
+        yield perturb_w(inst.w, inst.pair, seed % 3), inst.pair
+        yield _moved_past(inst.w, inst.pair, seed % 2, rng), inst.pair
+
+
+def test_relations_equal_dense_solve_on_random_pairs():
+    """The report equals the dense oracle in coefficients, violations and
+    non-uniqueness on every case of ``_random_relation_cases``."""
+    seen = {"fractional ok": 0, "nonunique": 0, "violation at 0": 0, "violation above 0": 0, "nonzero ok": 0}
+    for w, pair in _random_relation_cases():
+        report = validate_relations(w, pair)
+        ((a, nonunique_a), (b, nonunique_b)), violations = _oracle_relations(w, pair)
+        assert (report.a, report.nonunique_a) == (a, nonunique_a)
+        assert (report.b, report.nonunique_b) == (b, nonunique_b)
+        assert [(v.relation, v.n, v.degree, v.defect) for v in report.violations] == violations
+        assert report.ok == (not violations)
+        assert report.a_integral == all(x.denominator == 1 for x in a.values())
+        assert report.b_integral == all(x.denominator == 1 for x in b.values())
+        assert all(type(x) is Fraction for x in (*a.values(), *b.values()))
+        seen["fractional ok"] += report.ok and not (report.a_integral and report.b_integral)
+        seen["nonunique"] += bool(nonunique_a or nonunique_b)
+        seen["violation at 0"] += any(v.n == 0 for v in report.violations)
+        seen["violation above 0"] += any(v.n > 0 for v in report.violations)
+        seen["nonzero ok"] += report.ok and any((*a.values(), *b.values()))
+    assert min(seen.values()) >= 15, seen
 
 # -- reduced_induced -----------------------------------------------------------
 

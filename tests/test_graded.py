@@ -26,11 +26,13 @@ from helpers import (
     compose,
     contains,
     graded_space,
+    is_zero_map,
     mat,
     random_chain_selfmap,
     random_split_complex,
     two_term_complex,
     zero_map,
+    zero_space,
 )
 
 dims_strategy = st.lists(st.integers(0, 3), min_size=8, max_size=8).map(GradedSpace.of)
@@ -48,7 +50,7 @@ def test_zero_differential_cohomology_is_the_space():
 def test_acyclic_two_term():
     space = graded_space(0, 1, 1, 0, 0, 0, 0, 0)
     cx = CochainComplex(space, blocks_map(space, 1, {1: mat([[1]])}))
-    assert cohomology(cx).h_space == GradedSpace.zero()
+    assert cohomology(cx).h_space == zero_space()
 
 
 def test_two_term_with_survivor():
@@ -84,6 +86,22 @@ def test_cohomology_result_invariants():
             assert (cx.d.block(q) @ coh.rep_section[q]).is_zero
 
 
+
+def test_rep_section_equals_the_cocycle_basis_times_the_section():
+    """Each representative section is Z^q's basis times the quotient's
+    section, the product it is read off without."""
+    rng = random.Random(23)
+    both = 0
+    for _ in range(40):
+        cx, _, _ = random_split_complex(rng)
+        coh = cohomology(cx)
+        for q in range(8):
+            qs = coh.quotients[q]
+            assert coh.rep_section[q] == coh.cocycles[q].basis @ qs.section
+            both += qs.subspace.dim > 0 and qs.dim > 0
+    assert both > 20
+
+
 # -- induced maps -------------------------------------------------------
 
 
@@ -98,7 +116,7 @@ def test_induced_zero():
     cx = two_term_complex()
     coh = cohomology(cx)
     ind = induced_map(zero_map(cx.space), coh, coh)
-    assert ind.is_zero
+    assert is_zero_map(ind)
 
 
 def test_induced_diagonal_example():
@@ -184,7 +202,7 @@ def test_lefschetz_identity_alternating_cancel():
 def test_euler_values():
     assert euler(graded_space(0, 4, 0, 2, 0, 4, 0, 2)) == -12
     assert euler(graded_space(0, 2, 0, 2, 0, 2, 0, 2)) == -8
-    assert euler(GradedSpace.zero()) == 0
+    assert euler(zero_space()) == 0
 
 
 @settings(max_examples=60, deadline=None)

@@ -244,30 +244,50 @@ def _stacked_rows(dim, vectors):
     return Matrix(len(vectors), dim, tuple(vectors))
 
 
+def _unit(count, n):
+    return tuple(Fraction(int(i == n)) for i in range(count))
+
+
 @settings(max_examples=200, deadline=None)
 @given(vector_sequences(), st.data())
 def test_running_span_equals_stacked_elimination(seq, data):
-    """Each step against the added vectors stacked: ``coordinates`` equals
-    ``dense_solve`` on them as columns (None included), ``add`` is True exactly
-    when the rank grows, the rows are the reference RREF's nonzero rows, and
-    ``kernel`` is the reference kernel of the stack."""
+    """Each step against the added vectors stacked, vector n carrying the
+    unit vector e_n past ``dim``: a probe's residual is nonzero in its first
+    ``dim`` entries exactly when ``dense_solve`` on the vectors as columns
+    is None, and otherwise minus its tail equals that solution and rebuilds
+    the probe; ``add`` is True exactly when the rank grows, the rows are
+    the reference RREF's nonzero rows, and ``kernel`` is the reference
+    kernel of the stack.  A vector zero in its first ``dim`` entries but
+    not in its tail leaves the span as it was."""
     dim, vectors = seq
+    count = len(vectors)
+    zeros = (Fraction(0),) * count
     span = RunningSpan(dim)
     for n, v in enumerate(vectors + [None]):
         before = _stacked_rows(dim, vectors[:n])
-        probe = v if v is not None else tuple(data.draw(st.lists(sparse_scalars, min_size=dim, max_size=dim)))
-        x = dense_solve(before.transpose(), Matrix(dim, 1, tuple((e,) for e in probe)))
-        got = span.coordinates(probe)
-        if x is None:
-            assert got is None
+        if v is None:
+            probe = tuple(map(Fraction, data.draw(st.lists(sparse_scalars, min_size=dim, max_size=dim))))
         else:
-            assert [got.get(i, 0) for i in range(n)] == list(x.col(0))
-            assert all(type(c) is Fraction for c in got.values())
-            rebuilt = [sum((c * vectors[i][j] for i, c in got.items()), Fraction(0)) for j in range(dim)]
+            probe = v
+        x = dense_solve(before.transpose(), Matrix(dim, 1, tuple((e,) for e in probe)))
+        r = span.residual(probe + zeros)
+        assert len(r) == dim + count and all(type(c) is Fraction for c in r)
+        if x is None:
+            assert any(r[:dim])
+        else:
+            assert not any(r[:dim])
+            coords = [-c for c in r[dim:]]
+            assert coords[:n] == list(x.col(0)) and not any(coords[n:])
+            rebuilt = [sum((c * vectors[i][j] for i, c in enumerate(coords)), Fraction(0)) for j in range(dim)]
             assert rebuilt == list(probe)
+        if count:
+            rows, kernel = span.rows, span.kernel()
+            tail = data.draw(st.lists(sparse_scalars, min_size=count, max_size=count).filter(any))
+            assert not span.add((Fraction(0),) * dim + tuple(Fraction(t) for t in tail))
+            assert span.rank == rows.rows and span.rows == rows and span.kernel() == kernel
         if v is None:
             break
-        grew = span.add(n, v)
+        grew = span.add(v + _unit(count, n))
         ref = dense_rref(_stacked_rows(dim, vectors[: n + 1]))
         assert grew == (ref.rank > dense_rref(before).rank)
         assert span.rank == ref.rank
@@ -280,21 +300,31 @@ def test_running_span_equals_stacked_elimination(seq, data):
 
 
 def test_running_span_small_cases():
+    zero, one = Fraction(0), Fraction(1)
     empty = RunningSpan(0)
-    assert not empty.add("a", ()) and empty.rank == 0 and empty.coordinates(()) == {}
+    assert not empty.add(()) and empty.rank == 0 and empty.residual(()) == []
+    assert not empty.add((one,)) and empty.rank == 0
     assert empty.rows == Matrix.zeros(0, 0) and empty.subspace() == Subspace.zero(0)
     big = Fraction(2**101 + 1, 2**103 - 1)
     span = RunningSpan(3)
-    assert span.coordinates((Fraction(1), Fraction(0), Fraction(0))) is None
-    assert span.add("u", (Fraction(0), big, 2 * big))
-    assert not span.add("again", (Fraction(0), -big, -2 * big))
-    assert span.add("w", (Fraction(1, 3), Fraction(1), Fraction(0)))
+    assert span.residual((one, zero, zero) + _unit(3, 0)) == [1, 0, 0, 1, 0, 0]
+    assert span.add((zero, big, 2 * big) + _unit(3, 0))
+    assert not span.add((zero, -big, -2 * big) + _unit(3, 1))
+    assert span.add((Fraction(1, 3), one, zero) + _unit(3, 2))
     assert span.rank == 2
     assert span.rows == mat([[1, 0, -6], [0, 1, 2]])
-    assert span.coordinates((Fraction(1, 3), 1 + big, 2 * big)) == {"u": 1, "w": 1}
-    assert span.coordinates((Fraction(0), Fraction(0), Fraction(1))) is None
+    r = span.residual((Fraction(1, 3), 1 + big, 2 * big, zero, zero, zero))
+    assert r[:3] == [0, 0, 0] and [-c for c in r[3:]] == [1, 0, 1]
+    assert any(span.residual((zero, zero, one, zero, zero, zero))[:3])
+    # a vector that is zero in its first dim entries changes nothing
+    rows, kernel = span.rows, span.kernel()
+    assert not span.add((zero, zero, zero, zero, Fraction(5), zero))
+    assert span.rank == 2 and span.rows == rows and span.kernel() == kernel
+    assert span.residual((Fraction(1, 3), 1 + big, 2 * big, zero, zero, zero)) == r
     with pytest.raises(ValueError):
-        span.add("short", (Fraction(1),))
+        span.add((one,))
+    with pytest.raises(ValueError):
+        span.residual((one,))
 
 
 # -- kernel / image ----------------------------------------------------

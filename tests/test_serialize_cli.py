@@ -736,6 +736,27 @@ def test_cli_verify_non_list_family_is_parse_error(family, tmp_path, capsys):
     assert err.strip().splitlines() == [f"error: {family} must be a list of matrices"]
 
 
+
+@pytest.mark.parametrize("metadata", [0, "", False, [], 1, "x", [{}]], ids=repr)
+def test_cli_verify_non_object_metadata_is_parse_error(metadata, tmp_path, capsys):
+    doc = copy.deepcopy(catalog.get("sigma_2_7_13_mapping_torus").document)
+    doc["metadata"] = metadata
+    path = tmp_path / "bad-metadata.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == ["error: metadata must be an object"]
+
+
+@pytest.mark.parametrize("present", [True, False])
+def test_missing_or_null_metadata_is_empty(present):
+    doc = copy.deepcopy(catalog.get("sigma_2_7_13_mapping_torus").document)
+    if present:
+        doc["metadata"] = None
+    else:
+        del doc["metadata"]
+    assert document_to_instance(doc).metadata == {}
+
 def test_cli_verify_identity_failure_exit_code(monkeypatch, capsys):
     import floersplit.cli as cli
 
